@@ -28,8 +28,9 @@ from .kirchhoff import (
     thirty_dodgsons,
 )
 from .minors import f0, has_minor, parse_catalog, render_catalog
+from .named_graphs import ALIASES, NAMED_GRAPHS, named_graph
 from .search import SearchConfig, build_catalog, verify_catalog
-from .splitting import EnhancedGraph, enhanced_config_splits, enhanced_splits
+from .splitting import EnhancedGraph, config_splits, graph_splits
 from .width import graph_width, has_width_le
 
 _PROBABILISTIC_BANNER = (
@@ -66,28 +67,10 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _builtin_graph(name: str) -> MultiGraph:
-    from . import named_graphs as ng
-
-    table = {
-        "K4": ng.complete_graph(4),
-        "K5": ng.complete_graph(5),
-        "K3,3": ng.complete_bipartite(3, 3),
-        "W4": ng.wheel(4),
-        "W5": ng.wheel(5),
-        "K5-": ng.k5_minus(),
-        "P": ng.prism(),
-        "P+": ng.prism_plus(),
-        "C": ng.cube(),
-        "cube": ng.cube(),
-        "H": ng.h_graph(),
-        "O": ng.octahedron(),
-        "octahedron": ng.octahedron(),
-        "D": ng.double_fan(),
-        "D*": ng.double_fan_dual(),
-    }
-    if name not in table:
-        raise _CliError(f"unknown built-in graph {name!r}; choices: {', '.join(sorted(table))}")
-    return table[name]
+    choices = sorted([*NAMED_GRAPHS, *ALIASES])
+    if name not in choices:
+        raise _CliError(f"unknown built-in graph {name!r}; choices: {', '.join(choices)}")
+    return named_graph(name)
 
 
 def _cmd_psi(args) -> int:
@@ -191,7 +174,7 @@ def _cmd_split_check(args) -> int:
         return _probabilistic_split_check(args, g, _edge_list(args.edges))
     if args.edges:
         s = _edge_list(args.edges)
-        verdict = enhanced_config_splits(eg, s)
+        verdict = config_splits(eg, s)
         payload = {
             "command": "split-check",
             "edges": sorted(s),
@@ -203,7 +186,7 @@ def _cmd_split_check(args) -> int:
             lines += _witness_lines(verdict.witness)
         _emit(args, payload, lines)
         return 0 if verdict.splits else 1
-    ok, failing = enhanced_splits(eg)
+    ok, failing = graph_splits(eg)
     payload = {
         "command": "split-check",
         "splits": ok,

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import MultiGraph, spanning_trees
+from .graph_core import MultiGraph, _int_det, spanning_trees
 from .poly import MultiPoly, divexact
 
 
@@ -218,7 +218,7 @@ def dodgson_via_trees(
             [_incidence_entry(*omap[e], w) for w in vcols]
             for e in order
         ]
-        tree_sign[t] = _int_det_small(mat)
+        tree_sign[t] = _int_det(mat)
 
     out = MultiPoly.zero()
     forbidden = spec.j_set | spec.k_set
@@ -239,12 +239,6 @@ def dodgson_via_trees(
         out = out + MultiPoly.monomial(u, sgn)
     assert out.max_exponent() <= 1
     return out
-
-
-def _int_det_small(mat: list[list[int]]) -> int:
-    from .graph_core import _int_det
-
-    return _int_det(mat)
 
 
 def kirchhoff_poly(

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
+from . import named_graphs as ng
 from .graph_core import (
     MultiGraph,
     contract_edge,
@@ -223,17 +224,13 @@ def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> b
     return False
 
 
+# The forbidden five, in the order minor-check --f0 reports them.
+_F0_NAMES = ("K3,3", "K5", "C", "H", "O")
+
+
 def f0() -> list[MinorPattern]:
     """The forbidden five: minor-minimal graphs on which some configuration is stuck."""
-    from . import named_graphs as ng
-
-    return [
-        MinorPattern("K3,3", ng.complete_bipartite(3, 3)),
-        MinorPattern("K5", ng.complete_graph(5)),
-        MinorPattern("C", ng.cube()),
-        MinorPattern("H", ng.h_graph()),
-        MinorPattern("O", ng.octahedron()),
-    ]
+    return [MinorPattern(name, ng.named_graph(name)) for name in _F0_NAMES]
 
 
 def f0_free(g: MultiGraph) -> bool:
@@ -278,14 +275,13 @@ def _refined_cells(g: MultiGraph, colors: dict[int, int]) -> list[list[int]]:
     return [cells[k] for k in sorted(cells)]
 
 
-def canonical_labeling(
-    eg: EnhancedGraph, config: frozenset[int] | None = None
-) -> tuple[EnhancedGraph, frozenset[int] | None, dict[int, int]]:
-    """Canonically relabelled copy plus the old-edge -> new-edge map.
+def _least_encoding(
+    eg: EnhancedGraph, config: frozenset[int] | None
+) -> tuple[tuple, dict[int, int], dict[int, int]]:
+    """The least edge encoding, the vertex positions giving it, and the edge colours.
 
-    Vertices become 0..n-1 and edges 1..m; among all vertex orderings
-    compatible with the refined invariant cells the one minimising the edge
-    encoding (sorted (u, v, colour) triples) is chosen.
+    Only vertex orderings compatible with the refined invariant cells are
+    tried; the encoding is the sorted tuple of (u, v, colour) edge triples.
     """
     g = eg.graph
     if g.n > _MAX_CANON_VERTICES:
@@ -317,6 +313,20 @@ def canonical_labeling(
             best_enc = enc
             best_pos = pos
     assert best_enc is not None and best_pos is not None
+    return best_enc, best_pos, colors
+
+
+def canonical_labeling(
+    eg: EnhancedGraph, config: frozenset[int] | None = None
+) -> tuple[EnhancedGraph, frozenset[int] | None, dict[int, int]]:
+    """Canonically relabelled copy plus the old-edge -> new-edge map.
+
+    Vertices become 0..n-1 and edges 1..m; among all vertex orderings
+    compatible with the refined invariant cells the one minimising the edge
+    encoding (sorted (u, v, colour) triples) is chosen.
+    """
+    g = eg.graph
+    _, best_pos, colors = _least_encoding(eg, config)
     ordered = sorted(
         g.edges,
         key=lambda e: (
@@ -349,38 +359,7 @@ def canonical_form(
     eg: EnhancedGraph, config: frozenset[int] | None = None
 ) -> tuple:
     """Isomorphism-invariant key: (n, sorted (u, v, colour) edge triples)."""
-    g = eg.graph
-    if g.n > _MAX_CANON_VERTICES:
-        raise ValueError(f"canonical forms support at most {_MAX_CANON_VERTICES} vertices")
-    colors = _edge_colors(eg, config)
-    cells = _refined_cells(g, colors)
-    count = 1
-    for cell in cells:
-        for i in range(2, len(cell) + 1):
-            count *= i
-        if count > _MAX_CANON_ORDERINGS:
-            raise ValueError("graph is too symmetric for the canonical search")
-    best: tuple | None = None
-    for perm_parts in itertools.product(*(itertools.permutations(c) for c in cells)):
-        pos: dict[int, int] = {}
-        i = 0
-        for part in perm_parts:
-            for v in part:
-                pos[v] = i
-                i += 1
-        enc = tuple(
-            sorted(
-                (min(pos[u], pos[v]), max(pos[u], pos[v]), colors[e])
-                for e, (u, v) in g.edges.items()
-            )
-        )
-        if best is None or enc < best:
-            best = enc
-    return (g.n, best)
-
-
-def canonical_enhanced_key(eg: EnhancedGraph, config: frozenset[int] | None = None) -> tuple:
-    return canonical_form(eg, config)
+    return (eg.graph.n, _least_encoding(eg, config)[0])
 
 
 def canonical_graph_key(g: MultiGraph) -> tuple:
@@ -531,7 +510,12 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             u, _, v = uv.partition("-")
             eid = i + 1
             edges[eid] = (int(u), int(v))
-            f = _TEXT_TO_FLAG[flag]
+            f = _TEXT_TO_FLAG.get(flag)
+            if f is None:
+                raise ValueError(
+                    f"bad protection mark {flag!r} on catalog edge {part!r}; "
+                    "expected one of -, c, d, cd"
+                )
             if f & 1:
                 c_set.add(eid)
             if f & 2:
@@ -544,27 +528,15 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
 
 
 def family_label(g: MultiGraph) -> str:
-    """Name of the underlying-graph family, by canonical-form lookup."""
-    from . import named_graphs as ng
+    """Name of the underlying-graph family, by canonical-form lookup.
 
-    refs = {
-        "K4": ng.complete_graph(4),
-        "W4": ng.wheel(4),
-        "W5": ng.wheel(5),
-        "K5-": ng.k5_minus(),
-        "P": ng.prism(),
-        "P+": ng.prism_plus(),
-        "D": ng.double_fan(),
-        "D*": ng.double_fan_dual(),
-        "K3,3": ng.complete_bipartite(3, 3),
-        "K5": ng.complete_graph(5),
-        "C": ng.cube(),
-        "H": ng.h_graph(),
-        "O": ng.octahedron(),
-    }
+    A canonical key fixes the vertex and edge counts, so only registry graphs
+    of the same size are canonicalised.
+    """
     key = canonical_graph_key(g)
-    for name, ref in refs.items():
-        if canonical_graph_key(ref) == key:
+    for name, build in ng.NAMED_GRAPHS.items():
+        ref = build()
+        if (ref.n, ref.m) == (g.n, g.m) and canonical_graph_key(ref) == key:
             return name
     return "?"
 

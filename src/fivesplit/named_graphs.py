@@ -11,6 +11,7 @@ matroid duality check in the test suite.
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 from .graph_core import MultiGraph, find_isomorphism
 
@@ -205,6 +206,35 @@ def double_fan_faces() -> list[frozenset[int]]:
 
 def double_fan_dual() -> MultiGraph:
     return dual_from_faces(double_fan(), double_fan_faces())
+
+
+# -- the registry of named graphs ------------------------------------------
+
+# Name -> constructor.  These are the catalog's family labels and the CLI's
+# built-in patterns; no two entries are isomorphic.
+NAMED_GRAPHS: dict[str, Callable[[], MultiGraph]] = {
+    "K4": lambda: complete_graph(4),
+    "W4": lambda: wheel(4),
+    "W5": lambda: wheel(5),
+    "K5-": k5_minus,
+    "P": prism,
+    "P+": prism_plus,
+    "D": double_fan,
+    "D*": double_fan_dual,
+    "K3,3": lambda: complete_bipartite(3, 3),
+    "K5": lambda: complete_graph(5),
+    "C": cube,
+    "H": h_graph,
+    "O": octahedron,
+}
+
+# Long names accepted wherever a registry name is read from the user.
+ALIASES = {"cube": "C", "octahedron": "O"}
+
+
+def named_graph(name: str) -> MultiGraph:
+    """The registry graph called name (a registry name or an alias)."""
+    return NAMED_GRAPHS[ALIASES.get(name, name)]()
 
 
 # -- stored dual pairs -------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graph_core import (
     EdgeSubset,
@@ -209,38 +209,31 @@ def _check_config(g: MultiGraph, config: Iterable[int]) -> frozenset[int]:
     return s
 
 
-def config_splits(g: MultiGraph, config: Iterable[int]) -> SplitVerdict:
-    """Does the 5-configuration split in the plain graph?"""
-    s = _check_config(g, config)
-    return _engine(g, s, frozenset(), frozenset())
+def _as_enhanced(g: MultiGraph | EnhancedGraph) -> EnhancedGraph:
+    return g if isinstance(g, EnhancedGraph) else plain(g)
 
 
-def enhanced_config_splits(eg: EnhancedGraph, config: Iterable[int]) -> SplitVerdict:
-    """Splitting with the protected derived graphs excluded."""
+def config_splits(g: MultiGraph | EnhancedGraph, config: Iterable[int]) -> SplitVerdict:
+    """Does the 5-configuration split?
+
+    A plain graph is an enhanced graph with no protections; for an enhanced
+    graph the protected derived graphs are excluded.
+    """
+    eg = _as_enhanced(g)
     s = _check_config(eg.graph, config)
     return _engine(eg.graph, s, eg.contract_protected, eg.delete_protected)
 
 
-def _all_configs(g: MultiGraph) -> Iterator[frozenset[int]]:
-    for s in itertools.combinations(sorted(g.edges), 5):
-        yield frozenset(s)
-
-
-def graph_splits(g: MultiGraph) -> tuple[bool, frozenset[int] | None]:
+def graph_splits(g: MultiGraph | EnhancedGraph) -> tuple[bool, frozenset[int] | None]:
     """Whether every 5-configuration splits; if not, the first failing one.
 
     Configurations are scanned in sorted edge-id order.  Graphs with fewer
     than five edges split vacuously; disconnected graphs need no special
     handling because cross-component configurations split at order 0.
     """
-    for s in _all_configs(g):
-        if not _engine(g, s, frozenset(), frozenset()).splits:
-            return False, s
-    return True, None
-
-
-def enhanced_splits(eg: EnhancedGraph) -> tuple[bool, frozenset[int] | None]:
-    for s in _all_configs(eg.graph):
+    eg = _as_enhanced(g)
+    for combo in itertools.combinations(sorted(eg.graph.edges), 5):
+        s = frozenset(combo)
         if not _engine(eg.graph, s, eg.contract_protected, eg.delete_protected).splits:
             return False, s
     return True, None
@@ -399,9 +392,9 @@ def association_roundtrip_ok(g: MultiGraph, config: Iterable[int]) -> bool:
     eg, s_t = to_enhanced(g, config)
     expanded, s_p = from_enhanced(eg, s_t)
     eg2, s_t2 = to_enhanced(expanded, s_p)
-    from .minors import canonical_enhanced_key
+    from .minors import canonical_form
 
-    return canonical_enhanced_key(eg, s_t) == canonical_enhanced_key(eg2, s_t2)
+    return canonical_form(eg, s_t) == canonical_form(eg2, s_t2)
 
 
 GADGETS = ("triangle", "double-low", "double-high")

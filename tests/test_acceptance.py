@@ -43,8 +43,6 @@ from fivesplit.search import SearchConfig, enumerate_underlying, find_minimal_no
 from fivesplit.splitting import (
     EnhancedGraph,
     config_splits,
-    enhanced_config_splits,
-    enhanced_splits,
     graph_splits,
 )
 from fivesplit.width import graph_width, has_width_le
@@ -198,7 +196,7 @@ def test_criterion_08_wheel_protection_conditions_match_engine():
             subsets = [frozenset(t) for r in range(6) for t in itertools.combinations(combo, r)]
             for c in subsets:
                 for d in subsets:
-                    verdict = enhanced_config_splits(EnhancedGraph(g, c, d), s)
+                    verdict = config_splits(EnhancedGraph(g, c, d), s)
                     assert (not verdict.splits) == _wheel_nonsplit_rule(k, s, c, d)
 
 
@@ -230,10 +228,10 @@ def test_criterion_09_catalog_counts_and_golden_file(golden_catalog):
 def test_criterion_10_catalog_is_a_minor_minimal_antichain(golden_catalog):
     assert len(golden_catalog) == 36
     for entry in golden_catalog:
-        splits_all, _ = enhanced_splits(entry.enhanced)
+        splits_all, _ = graph_splits(entry.enhanced)
         assert not splits_all
         for _, child in enhanced_children(entry.enhanced):
-            child_ok, _ = enhanced_splits(child)
+            child_ok, _ = graph_splits(child)
             assert child_ok
     for a, b in itertools.permutations(golden_catalog, 2):
         assert not enhanced_has_minor(a.enhanced, b.enhanced)

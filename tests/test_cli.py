@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fivesplit
 from fivesplit.cli import main
 from fivesplit.graph_core import render_graph_text
 from fivesplit.kirchhoff import kirchhoff_poly
@@ -186,6 +191,12 @@ def test_minor_check_builtin_and_file(tmp_path, capsys):
     code, _, err = _run(capsys, "minor-check", host, "--builtin", "K99")
     assert code == 2
     assert "unknown built-in" in err
+    assert err.endswith(
+        "choices: C, D, D*, H, K3,3, K4, K5, K5-, O, P, P+, W4, W5, cube, octahedron\n"
+    )
+    for alias, expected in (("cube", 0), ("octahedron", 1)):
+        code, _, _ = _run(capsys, "minor-check", host, "--builtin", alias)
+        assert code == expected
     code, _, err = _run(capsys, "minor-check", host)
     assert code == 2
 
@@ -196,6 +207,10 @@ def test_minor_check_f0(tmp_path, capsys):
     assert code == 0
     assert not payload["f0_free"]
     assert payload["patterns"]["C"]
+    code, out, _ = _run(capsys, "minor-check", host, "--f0")
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "K3,3", "K5", "C", "H", "O", "f0-free",
+    ]
     w4 = _graph_file(tmp_path, "w4.txt", wheel(4))
     code, payload, _ = _run_json(capsys, "minor-check", w4, "--f0")
     assert code == 1
@@ -243,6 +258,25 @@ def test_verify_catalog_command(tmp_path, capsys):
     assert code == 1
     assert not payload["ok"]
     assert len(payload["unexpected"]) == 1
+
+
+def test_malformed_catalog_mark_is_a_usage_error(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(fivesplit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    golden = tmp_path / "golden.txt"
+    for edge in ("0-1:zz", "0-1"):
+        golden.write_text(f"2|{edge}|1|?|1|-\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fivesplit.cli", "verify-catalog",
+             "--golden", str(golden), "--max-edges", "6"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: bad protection mark")
 
 
 def test_unreadable_graph_is_a_usage_error(tmp_path, capsys):

@@ -13,7 +13,6 @@ from fivesplit.minors import (
     MinorPattern,
     _has_minor_recursive,
     assign_dual_partners,
-    canonical_enhanced_key,
     canonical_form,
     canonical_graph_key,
     canonical_labeling,
@@ -29,12 +28,14 @@ from fivesplit.minors import (
     render_catalog,
 )
 from fivesplit.named_graphs import (
+    NAMED_GRAPHS,
     complete_bipartite,
     complete_graph,
     cube,
     cycle_graph,
     h_graph,
     h_graph_from_octahedron,
+    named_graph,
     octahedron,
     path_graph,
     prism,
@@ -256,6 +257,10 @@ def test_family_labels():
     assert family_label(complete_bipartite(3, 3)) == "K3,3"
     assert family_label(prism()) == "P"
     assert family_label(path_graph(3)) == "?"
+    for name, build in NAMED_GRAPHS.items():
+        assert family_label(build()) == name
+    assert family_label(named_graph("cube")) == "C"
+    assert family_label(named_graph("octahedron")) == "O"
 
 
 def test_dual_bijection_cube_octahedron():

@@ -23,7 +23,7 @@ from fivesplit.search import (
     find_minimal_nonsplit,
     verify_catalog,
 )
-from fivesplit.splitting import enhanced_splits
+from fivesplit.splitting import graph_splits
 
 
 def test_config_validation():
@@ -163,7 +163,7 @@ def test_build_catalog_injects_plain_members():
     assert sorted(e.family for e in plain_entries) == ["K3,3"]
     assert len(entries) == 26
     for e in entries:
-        ok, _ = enhanced_splits(e.enhanced)
+        ok, _ = graph_splits(e.enhanced)
         assert not ok
 
 

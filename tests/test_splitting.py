@@ -31,8 +31,6 @@ from fivesplit.splitting import (
     GADGETS,
     association_roundtrip_ok,
     config_splits,
-    enhanced_config_splits,
-    enhanced_splits,
     from_enhanced,
     graph_splits,
     plain,
@@ -175,8 +173,8 @@ def test_unprotected_enhanced_matches_plain():
     for g in rng.sample(hosts, 25):
         eg = plain(g)
         for s in itertools.combinations(sorted(g.edges), 5):
-            assert enhanced_config_splits(eg, s).splits == config_splits(g, s).splits
-        assert enhanced_splits(eg)[0] == graph_splits(g)[0]
+            assert config_splits(eg, s).splits == config_splits(g, s).splits
+        assert graph_splits(eg)[0] == graph_splits(g)[0]
 
 
 def test_wheel_minimal_protections_on_w4():
@@ -185,14 +183,14 @@ def test_wheel_minimal_protections_on_w4():
     c = frozenset({1, 2, 5, 6, 7})
     d = frozenset({1, 2, 6})
     eg = EnhancedGraph(g, c, d)
-    assert not enhanced_config_splits(eg, s).splits
+    assert not config_splits(eg, s).splits
     # every single protection is load-bearing: removing any one splits
     for e in sorted(c):
         weaker = EnhancedGraph(g, c - {e}, d)
-        assert enhanced_config_splits(weaker, s).splits
+        assert config_splits(weaker, s).splits
     for e in sorted(d):
         weaker = EnhancedGraph(g, c, d - {e})
-        assert enhanced_config_splits(weaker, s).splits
+        assert config_splits(weaker, s).splits
 
 
 def test_fully_protected_k4():
@@ -200,10 +198,10 @@ def test_fully_protected_k4():
     for s in itertools.combinations(sorted(g.edges), 5):
         ss = frozenset(s)
         eg = EnhancedGraph(g, ss, ss)
-        assert not enhanced_config_splits(eg, ss).splits
+        assert not config_splits(eg, ss).splits
     eg = EnhancedGraph(g, frozenset({1, 2, 3, 4, 5}), frozenset({1, 2, 3, 4, 5}))
     assert eg.weight == 16
-    assert not enhanced_splits(eg)[0]
+    assert not graph_splits(eg)[0]
 
 
 def test_protections_are_monotone():
@@ -214,11 +212,11 @@ def test_protections_are_monotone():
         s = frozenset(rng.sample(sorted(g.edges), 5))
         c = frozenset(e for e in s if rng.random() < 0.5)
         d = frozenset(e for e in s if rng.random() < 0.5)
-        if enhanced_config_splits(EnhancedGraph(g, c, d), s).splits:
+        if config_splits(EnhancedGraph(g, c, d), s).splits:
             continue
         c2 = c | frozenset(rng.sample(sorted(s), 2))
         d2 = d | frozenset(rng.sample(sorted(s), 2))
-        assert not enhanced_config_splits(EnhancedGraph(g, c2, d2), s).splits
+        assert not config_splits(EnhancedGraph(g, c2, d2), s).splits
 
 
 def test_protected_sets_must_be_edges():
@@ -285,9 +283,9 @@ def test_from_enhanced_weight_is_edge_count():
         assert out.m == eg.weight == 16
         assert len(s_out) == 5
         back, s_back = to_enhanced(out, s_out)
-        from fivesplit.minors import canonical_enhanced_key
+        from fivesplit.minors import canonical_form
 
-        assert canonical_enhanced_key(back, s_back) == canonical_enhanced_key(eg, s)
+        assert canonical_form(back, s_back) == canonical_form(eg, s)
 
 
 def test_from_enhanced_rejects_unknown_gadget():
