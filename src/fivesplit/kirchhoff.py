@@ -19,7 +19,9 @@ vertex only up to a global sign.
 
 Everything here is exact integer arithmetic; determinants use fraction-free
 Bareiss elimination over the polynomial ring, and an independent expansion
-over spanning trees provides a second route with matching signs.
+over spanning trees provides a second route with matching signs.  Whether a
+Dodgson polynomial is zero is decided without expanding it, by matroid
+intersection (`dodgson_vanishes`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph_core import MultiGraph, _int_det, spanning_trees
+from .matroid import GraphicMatroid, MinorOracle, common_completion_exists
 from .poly import MultiPoly, divexact
 
 
@@ -261,14 +264,10 @@ def kirchhoff_poly(
     return by_trees
 
 
-def thirty_dodgsons(
-    g: MultiGraph,
-    config: Sequence[int] | frozenset[int],
-    convention: MatrixConvention | None = None,
-) -> list[tuple[DodgsonSpec, MultiPoly]]:
-    """The 30 Dodgson polynomials of a 5-edge configuration.
+def thirty_specs(g: MultiGraph, config: Sequence[int] | frozenset[int]) -> list[DodgsonSpec]:
+    """The 30 Dodgson index triples of a 5-edge configuration.
 
-    One polynomial per choice of a distinguished edge e of S, a pairing of the
+    One spec per choice of a distinguished edge e of S, a pairing of the
     remaining four into {a,b} and {c,d}, and a side: P({a,b},{c,d};{e}) or
     P({a,b,e},{c,d,e}; {}).  Specs are deduplicated on the unordered pair
     {I, J}; exactly 30 remain.
@@ -278,9 +277,8 @@ def thirty_dodgsons(
         raise ValueError("a configuration has five distinct edges")
     if not set(s) <= set(g.edges):
         raise ValueError("configuration edges must belong to the graph")
-    conv = convention or default_convention(g)
     seen: set[tuple] = set()
-    out: list[tuple[DodgsonSpec, MultiPoly]] = []
+    out: list[DodgsonSpec] = []
     for e in s:
         rest = [f for f in s if f != e]
         a = rest[0]
@@ -296,10 +294,38 @@ def thirty_dodgsons(
                 if key in seen:
                     continue
                 seen.add(key)
-                spec = DodgsonSpec(frozenset(lo), frozenset(hi), k_set)
-                out.append((spec, dodgson(g, spec, conv)))
-    assert len(out) == 30
+                out.append(DodgsonSpec(frozenset(lo), frozenset(hi), k_set))
+    if len(out) != 30:
+        raise RuntimeError(f"a configuration gave {len(out)} Dodgson specs, not 30")
     return out
+
+
+def thirty_dodgsons(
+    g: MultiGraph,
+    config: Sequence[int] | frozenset[int],
+    convention: MatrixConvention | None = None,
+) -> list[tuple[DodgsonSpec, MultiPoly]]:
+    """The 30 Dodgson polynomials of a 5-edge configuration, in `thirty_specs` order."""
+    specs = thirty_specs(g, config)
+    conv = convention or default_convention(g)
+    return [(spec, dodgson(g, spec, conv)) for spec in specs]
+
+
+def dodgson_vanishes(g: MultiGraph, spec: DodgsonSpec) -> bool:
+    """Is the Dodgson polynomial of spec zero?  Exact, by matroid intersection.
+
+    In the tree expansion (`dodgson_via_trees`) each monomial comes from one
+    pair of spanning trees W + (J - I) and W + (I - J), with K <= W and W
+    disjoint from I and J, and has coefficient +-1; distinct W give distinct
+    monomials, so nothing cancels.  The polynomial is therefore zero exactly
+    when no such W exists: no common completion of K + (J - I) and
+    K + (I - J) to spanning trees of G - (I & J).  A loop or cycle in a
+    forced set, or a disconnected G - (I & J), leaves none.
+    """
+    spec.validate(g)
+    i, j, k = spec.i_set, spec.j_set, spec.k_set
+    base = MinorOracle(GraphicMatroid(g), (), i & j)
+    return not common_completion_exists(base, k | (j - i), k | (i - j), g.n - 1)
 
 
 def five_invariant(

@@ -157,9 +157,9 @@ def matroid_intersection(m1: RankOracle, m2: RankOracle, k: int) -> Intersection
         if goal is None:
             reachable = frozenset(prev)
             rest = m1.ground - reachable
-            assert m1.rank(rest) == len(x - reachable)
-            assert m2.rank(reachable) == len(x & reachable)
-            assert m1.rank(rest) + m2.rank(reachable) == len(x) < k
+            r1, r2 = m1.rank(rest), m2.rank(reachable)
+            if not (r1 == len(x - reachable) and r2 == len(x & reachable) and r1 + r2 < k):
+                raise RuntimeError("matroid intersection: the rank certificate does not hold")
             return IntersectionOutcome(False, None, (rest, reachable))
         node: int | None = goal
         while node is not None:
@@ -168,10 +168,35 @@ def matroid_intersection(m1: RankOracle, m2: RankOracle, k: int) -> Intersection
             else:
                 x.add(node)
             node = prev[node]
-        assert m1.is_independent(x) and m2.is_independent(x)
+        if not (m1.is_independent(x) and m2.is_independent(x)):
+            raise RuntimeError("matroid intersection: augmentation left a dependent set")
     out = frozenset(x)
-    assert len(out) == k and m1.is_independent(out) and m2.is_independent(out)
+    if not (len(out) == k and m1.is_independent(out) and m2.is_independent(out)):
+        raise RuntimeError("matroid intersection: the result is not a common independent set")
     return IntersectionOutcome(True, out, None)
+
+
+def common_completion_exists(
+    base: RankOracle, s1: Iterable[int], s2: Iterable[int], size: int
+) -> bool:
+    """Is there X outside S1 + S2 with X + S1 and X + S2 both independent of the given size?
+
+    Reduces to a common independent set of size ``size - |S1|`` in the minors
+    M/S1 - (S2 - S1) and M/S2 - (S1 - S2).  S1 and S2 may overlap; their
+    common part is forced into both sets.
+    """
+    a = frozenset(s1)
+    b = frozenset(s2)
+    k = size - len(a)
+    if len(a) != len(b) or k < 0:
+        return False
+    if not base.is_independent(a) or not base.is_independent(b):
+        return False
+    m1 = MinorOracle(base, a, b - a)
+    m2 = MinorOracle(base, b, a - b)
+    if m1.full_rank() < k or m2.full_rank() < k:
+        return False
+    return matroid_intersection(m1, m2, k).found
 
 
 def common_tree_exists(
@@ -179,8 +204,8 @@ def common_tree_exists(
 ) -> bool:
     """Is there T disjoint from S1 and S2 with both T + S1 and T + S2 spanning trees?
 
-    Reduces to a common independent set of size n - 1 - |S1| in the minors
-    M(G)/S1 - S2 and M(G)/S2 - S1.  Requires |S1| = |S2| and disjointness.
+    A common completion of S1 and S2 to n - 1 independent edges of the cycle
+    matroid.  Requires |S1| = |S2| and disjointness.
     """
     a = frozenset(s1)
     b = frozenset(s2)
@@ -189,18 +214,7 @@ def common_tree_exists(
     base = GraphicMatroid(g)
     if not (a <= base.ground and b <= base.ground):
         raise ValueError("forced sets must be edges of the graph")
-    if len(a) != len(b):
-        return False
-    k = g.n - 1 - len(a)
-    if k < 0:
-        return False
-    if not base.is_independent(a) or not base.is_independent(b):
-        return False
-    m1 = MinorOracle(base, a, b)
-    m2 = MinorOracle(base, b, a)
-    if m1.full_rank() < k or m2.full_rank() < k:
-        return False
-    return matroid_intersection(m1, m2, k).found
+    return common_completion_exists(base, a, b, g.n - 1)
 
 
 def caterpillar_width(m: RankOracle) -> int:

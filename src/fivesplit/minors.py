@@ -521,9 +521,24 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             if f & 2:
                 d_set.add(eid)
         eg = EnhancedGraph(MultiGraph(range(n), edges), frozenset(c_set), frozenset(d_set))
-        witness = frozenset(int(t) for t in fields[2].split(",") if t)
+        witness_ids = [int(t) for t in fields[2].split(",") if t]
+        witness = frozenset(witness_ids)
+        if len(witness_ids) != 5 or len(witness) != 5 or not witness <= eg.graph.edge_ids():
+            raise ValueError(
+                f"catalog witness {fields[2]!r} is not five distinct edges of its graph"
+            )
+        weight = int(fields[4])
+        if weight != eg.weight:
+            raise ValueError(
+                f"catalog weight {weight} contradicts the edges and marks (weight {eg.weight})"
+            )
         dual = None if fields[5] == "-" else int(fields[5])
-        out.append(CatalogEntry(eg, witness, fields[3], int(fields[4]), dual))
+        out.append(CatalogEntry(eg, witness, fields[3], weight, dual))
+    for ent in out:
+        if ent.dual_partner is not None and not 0 <= ent.dual_partner < len(out):
+            raise ValueError(
+                f"catalog dual index {ent.dual_partner} is outside 0..{len(out) - 1}"
+            )
     return out
 
 

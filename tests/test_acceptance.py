@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven end-to-end checks tying the whole package together.
+"""Acceptance suite: twelve end-to-end checks tying the whole package together.
 
 Each test is one criterion, so ``pytest -v`` prints one pass/fail line per
 criterion.  Shared censuses and the golden catalog load once per module.
@@ -16,9 +16,11 @@ from fivesplit.graph_core import MultiGraph, is_matroid_dual_pair
 from fivesplit.kirchhoff import (
     DodgsonSpec,
     dodgson,
+    dodgson_vanishes,
     dodgson_via_trees,
     five_invariant,
     thirty_dodgsons,
+    thirty_specs,
 )
 from fivesplit.matroid import GraphicMatroid, caterpillar_width, common_tree_exists
 from fivesplit.minors import (
@@ -245,3 +247,16 @@ def test_criterion_11_caterpillar_width_bounds_graph_width(connected_census):
     claw = subdivided_claw()
     assert caterpillar_width(GraphicMatroid(claw)) == 1
     assert graph_width(claw)[0] == 2
+
+
+def test_criterion_12_splitting_matches_a_vanishing_dodgson_polynomial(three_connected_census):
+    # the 3-connected graphs with 6 to 11 edges all have at most 7 vertices
+    configurations = 0
+    for g in three_connected_census:
+        if g.m > 11:
+            continue
+        for s in itertools.combinations(sorted(g.edges), 5):
+            vanishing = any(dodgson_vanishes(g, spec) for spec in thirty_specs(g, s))
+            assert config_splits(g, s).splits == vanishing, (g.edges, s)
+            configurations += 1
+    assert configurations == 4682

@@ -250,33 +250,65 @@ def test_verify_catalog_command(tmp_path, capsys):
     assert "no differences" in out
     lines = golden.read_text(encoding="utf-8").splitlines()
     body = [ln for ln in lines if ln and not ln.startswith("#")]
-    dropped = [ln for ln in lines if ln != body[-1]]
+    # the last two entries are each other's dual partners, so dropping both
+    # leaves every remaining dual index inside the file
+    assert body[-1].endswith(f"|{len(body) - 2}") and body[-2].endswith(f"|{len(body) - 1}")
+    dropped = [ln for ln in lines if ln not in body[-2:]]
     golden.write_text("\n".join(dropped) + "\n", encoding="utf-8")
     code, payload, _ = _run_json(
         capsys, "verify-catalog", "--golden", str(golden), "--max-edges", "8"
     )
     assert code == 1
     assert not payload["ok"]
-    assert len(payload["unexpected"]) == 1
+    assert len(payload["unexpected"]) == 2
 
 
-def test_malformed_catalog_mark_is_a_usage_error(tmp_path):
+def _verify_catalog_process(tmp_path, text):
     env = dict(os.environ)
     src = str(Path(fivesplit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     golden = tmp_path / "golden.txt"
+    golden.write_text(text, encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, "-m", "fivesplit.cli", "verify-catalog",
+         "--golden", str(golden), "--max-edges", "6"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _assert_usage_error(proc, message):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: " + message)
+
+
+def test_malformed_catalog_mark_is_a_usage_error(tmp_path):
     for edge in ("0-1:zz", "0-1"):
-        golden.write_text(f"2|{edge}|1|?|1|-\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "fivesplit.cli", "verify-catalog",
-             "--golden", str(golden), "--max-edges", "6"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("error: bad protection mark")
+        proc = _verify_catalog_process(tmp_path, f"2|{edge}|1|?|1|-\n")
+        _assert_usage_error(proc, "bad protection mark")
+
+
+# The one entry of `search-minimal --max-edges 6`: K4 with its witness and weight.
+_K4_ENTRY = "4|0-1:-,0-2:cd,0-3:cd,1-2:cd,1-3:cd,2-3:cd|2,3,4,5,6|K4|16|0"
+
+
+def test_inconsistent_catalog_entry_is_a_usage_error(tmp_path):
+    proc = _verify_catalog_process(tmp_path, _K4_ENTRY + "\n")
+    assert proc.returncode == 0
+    assert proc.stdout == "catalog verified: no differences\n"
+    damaged = [
+        ("|2,3,4,5,6|", "|2,3,4,5,99|", "catalog witness"),
+        ("|2,3,4,5,6|", "|2,3,4,5,5|", "catalog witness"),
+        ("|2,3,4,5,6|", "|2,3,4,5|", "catalog witness"),
+        ("|16|", "|3|", "catalog weight"),
+        ("|16|0", "|16|1", "catalog dual index"),
+        ("|16|0", "|16|-1", "catalog dual index"),
+    ]
+    for old, new, message in damaged:
+        proc = _verify_catalog_process(tmp_path, _K4_ENTRY.replace(old, new) + "\n")
+        _assert_usage_error(proc, message)
 
 
 def test_unreadable_graph_is_a_usage_error(tmp_path, capsys):

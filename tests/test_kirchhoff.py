@@ -6,18 +6,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fivesplit.graph_core import MultiGraph, contract_edge, delete_edge, is_connected
 from fivesplit.kirchhoff import (
     DodgsonSpec,
     MatrixConvention,
     dodgson,
+    dodgson_vanishes,
     dodgson_via_trees,
     default_convention,
     five_invariant,
     five_invariant_all_orderings_agree,
     kirchhoff_poly,
     thirty_dodgsons,
+    thirty_specs,
     validate_convention,
 )
 from fivesplit.named_graphs import (
@@ -28,6 +32,7 @@ from fivesplit.named_graphs import (
     wheel,
 )
 from fivesplit.poly import MultiPoly
+from fivesplit.search import enumerate_underlying
 from fivesplit.splitting import config_splits
 
 
@@ -271,3 +276,80 @@ def test_tree_dodgsons():
     # contracting an edge leaves a smaller tree with Kirchhoff polynomial 1
     spec_k = DodgsonSpec(frozenset(), frozenset(), frozenset({1}))
     assert dodgson(g, spec_k) == MultiPoly.const(1)
+
+
+def test_thirty_specs_match_thirty_dodgsons():
+    g = complete_graph(5)
+    specs = thirty_specs(g, [5, 4, 3, 2, 1])
+    assert specs == [spec for spec, _ in thirty_dodgsons(g, [1, 2, 3, 4, 5])]
+    assert len(set(specs)) == 30
+    with pytest.raises(ValueError, match="five distinct edges"):
+        thirty_specs(g, [1, 2, 3, 4, 4])
+    with pytest.raises(ValueError, match="belong to the graph"):
+        thirty_specs(g, [1, 2, 3, 4, 99])
+
+
+def _assert_vanishing_matches_tree_route(g: MultiGraph, config) -> list[bool]:
+    zeros = []
+    for spec in thirty_specs(g, config):
+        zero = dodgson_via_trees(g, spec).is_zero()
+        assert dodgson_vanishes(g, spec) == zero, spec
+        zeros.append(zero)
+    return zeros
+
+
+def test_dodgson_vanishes_matches_tree_route_on_census():
+    census = [g for m in range(1, 9) for g in enumerate_underlying(m, three_connected=False)]
+    assert len(census) == 358
+    rng = random.Random(20261018)
+    for g in census:
+        if g.m >= 5:
+            _assert_vanishing_matches_tree_route(g, rng.sample(sorted(g.edges), 5))
+
+
+@st.composite
+def _multigraph_configurations(draw):
+    """A multigraph of any connectivity, loops and parallel edges allowed, and a configuration."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=5, max_size=9))
+    g = MultiGraph(range(n), {e: (min(u, v), max(u, v)) for e, (u, v) in enumerate(ends, 1)})
+    config = draw(st.permutations(sorted(g.edges)))[:5]
+    return g, config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_multigraph_configurations())
+def test_dodgson_vanishes_matches_tree_route_on_multigraphs(case):
+    _assert_vanishing_matches_tree_route(*case)
+
+
+def test_dodgson_vanishes_keeps_an_edge_parallel_to_k():
+    # K4 plus edge 7 parallel to edge 1; contracting 1 turns 7 into a loop,
+    # which must still count when 7 lies in I or J
+    g = MultiGraph(range(4), {**complete_graph(4).edges, 7: (0, 1)})
+    specs = [s for s in thirty_specs(g, [1, 2, 5, 6, 7]) if s.k_set == {1}]
+    split = [s for s in specs if 7 in s.i_set ^ s.j_set]
+    assert split
+    assert all(dodgson_vanishes(g, s) for s in split)
+    assert _assert_vanishing_matches_tree_route(g, [1, 2, 5, 6, 7]).count(False) > 0
+
+
+def test_dodgson_vanishes_on_loops_and_disconnected_graphs():
+    # two disjoint triangles: no spanning tree, so all 30 polynomials vanish
+    two_triangles = MultiGraph(
+        range(6), {1: (0, 1), 2: (1, 2), 3: (0, 2), 4: (3, 4), 5: (4, 5), 6: (3, 5)}
+    )
+    assert all(_assert_vanishing_matches_tree_route(two_triangles, [1, 2, 3, 4, 5]))
+    # edge 3 is a bridge, so deleting I & J = {3} disconnects the graph
+    bridged = MultiGraph(range(4), {1: (0, 1), 2: (1, 2), 3: (2, 3), 4: (0, 2), 5: (0, 1)})
+    _assert_vanishing_matches_tree_route(bridged, [1, 2, 3, 4, 5])
+    spec = DodgsonSpec(frozenset({1, 3}), frozenset({2, 3}), frozenset())
+    assert dodgson_vanishes(bridged, spec)
+    assert dodgson(bridged, spec).is_zero()
+    # a loop in K kills every term
+    looped = MultiGraph(range(3), {1: (0, 1), 2: (1, 2), 3: (0, 2), 4: (1, 1), 5: (0, 1)})
+    spec = DodgsonSpec(frozenset({1}), frozenset({2}), frozenset({4}))
+    assert dodgson_vanishes(looped, spec)
+    assert dodgson(looped, spec).is_zero()
+    assert _assert_vanishing_matches_tree_route(looped, [1, 2, 3, 4, 5]).count(False) > 0

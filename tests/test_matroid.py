@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import fivesplit
 
 from fivesplit.graph_core import MultiGraph, is_connected, spanning_trees
 from fivesplit.matroid import (
     FreeMatroid,
     GraphicMatroid,
     MinorOracle,
+    RankOracle,
     caterpillar_width,
     common_tree_exists,
     matroid_intersection,
@@ -129,6 +136,43 @@ def test_intersection_matches_brute_force():
             else:
                 a, b = out.certificate
                 assert m1.rank(a) + m2.rank(b) < k
+
+
+class _LyingMatroid(RankOracle):
+    """Claims every proper subset has rank 0 but the whole ground set is independent."""
+
+    def _rank(self, subset):
+        return len(subset) if subset == self.ground else 0
+
+
+def test_lying_oracle_fails_the_certificate_check():
+    # no singleton looks independent, so the search stops at once; the
+    # certificate r1(E) = 0 is false, and the result must not be "no common set"
+    with pytest.raises(RuntimeError, match="certificate"):
+        matroid_intersection(_LyingMatroid([1, 2]), FreeMatroid([1, 2]), 1)
+
+
+def test_certificate_check_survives_optimised_python():
+    script = (
+        "from fivesplit.matroid import FreeMatroid, RankOracle, matroid_intersection\n"
+        "class Lying(RankOracle):\n"
+        "    def _rank(self, s):\n"
+        "        return len(s) if s == self.ground else 0\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    matroid_intersection(Lying([1, 2]), FreeMatroid([1, 2]), 1)\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(fivesplit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 def test_intersection_rejects_mismatched_grounds():
