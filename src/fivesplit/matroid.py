@@ -14,7 +14,6 @@ programming over subsets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 

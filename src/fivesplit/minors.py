@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import named_graphs as ng
 from .graph_core import (
@@ -369,29 +369,33 @@ def canonical_graph_key(g: MultiGraph) -> tuple:
 # -- the enhanced minor order -------------------------------------------------
 
 
-def enhanced_children(eg: EnhancedGraph) -> list[tuple[str, EnhancedGraph]]:
-    """All one-step reductions, in a fixed deterministic order."""
+def enhanced_children(eg: EnhancedGraph) -> Iterator[tuple[str, EnhancedGraph]]:
+    """All one-step reductions, yielded lazily in a fixed deterministic order.
+
+    Protection removals come first: they reuse the graph itself, so a caller
+    that stops at the first child with some property (the catalog search's
+    minimality test) rejects most non-minimal candidates without building a
+    smaller graph and its tables.
+    """
     g = eg.graph
     c_set = eg.contract_protected
     d_set = eg.delete_protected
-    out: list[tuple[str, EnhancedGraph]] = []
+    for e in sorted(c_set):
+        yield f"unprotect contract {e}", EnhancedGraph(g, c_set - {e}, d_set)
+    for e in sorted(d_set):
+        yield f"unprotect delete {e}", EnhancedGraph(g, c_set, d_set - {e})
     for v in sorted(g.vertices):
         h = delete_vertex(g, v)
         ids = h.edge_ids()
-        out.append((f"delete vertex {v}", EnhancedGraph(h, c_set & ids, d_set & ids)))
+        yield f"delete vertex {v}", EnhancedGraph(h, c_set & ids, d_set & ids)
     for e in sorted(g.edges):
         if e not in d_set:
-            h = delete_edge(g, e)
-            out.append((f"delete edge {e}", EnhancedGraph(h, c_set - {e}, d_set)))
+            yield f"delete edge {e}", EnhancedGraph(delete_edge(g, e), c_set - {e}, d_set)
     for e in sorted(g.edges):
         if e not in c_set and not g.is_loop(e):
             h = contract_edge(g, e)
             ids = h.edge_ids()
-            out.append((f"contract edge {e}", EnhancedGraph(h, c_set & ids, d_set & ids)))
-    for e in sorted(c_set):
-        out.append((f"unprotect contract {e}", EnhancedGraph(g, c_set - {e}, d_set)))
-    for e in sorted(d_set):
-        out.append((f"unprotect delete {e}", EnhancedGraph(g, c_set, d_set - {e})))
+            yield f"contract edge {e}", EnhancedGraph(h, c_set & ids, d_set & ids)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for e, (u, v) in g.edges.items():
         if u != v:
@@ -403,12 +407,9 @@ def enhanced_children(eg: EnhancedGraph) -> list[tuple[str, EnhancedGraph]]:
         for keep, drop in itertools.permutations(es, 2):
             if drop in d_set:
                 continue
-            h = delete_edge(g, drop)
-            out.append(
-                (
-                    f"merge parallel {drop} into {keep}",
-                    EnhancedGraph(h, c_set - {drop}, (d_set - {drop}) | {keep}),
-                )
+            yield (
+                f"merge parallel {drop} into {keep}",
+                EnhancedGraph(delete_edge(g, drop), c_set - {drop}, (d_set - {drop}) | {keep}),
             )
     for w in sorted(g.vertices):
         inc = g.incident_edges(w)
@@ -424,13 +425,10 @@ def enhanced_children(eg: EnhancedGraph) -> list[tuple[str, EnhancedGraph]]:
             ids = h.edge_ids()
             if keep not in ids:
                 continue
-            out.append(
-                (
-                    f"smooth degree-2 vertex {w} contracting {con}",
-                    EnhancedGraph(h, (c_set & ids) | {keep}, d_set & ids),
-                )
+            yield (
+                f"smooth degree-2 vertex {w} contracting {con}",
+                EnhancedGraph(h, (c_set & ids) | {keep}, d_set & ids),
             )
-    return out
 
 
 def enhanced_has_minor(eg: EnhancedGraph, target: EnhancedGraph) -> bool:

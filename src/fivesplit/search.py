@@ -6,11 +6,11 @@ the minimal protections are forced: an edge e of S must be delete-protected
 exactly when G minus e has a bad separation for S - e, and contract-protected
 exactly when G contract e does.  Every minor-minimal non-split enhanced graph
 therefore appears among the candidates (G, C_min(S), D_min(S)); anything with
-fewer protections splits, anything with more is not minimal.  Candidates are
-kept when all one-step reductions (protection removals, edge deletions and
-contractions, vertex deletions, degree-2 smoothings) yield enhanced graphs in
-which every configuration splits, which is read off the reductions' own
-minimal-protection tables.
+fewer protections splits, anything with more is not minimal.  A candidate is
+kept when every one-step reduction of the enhanced minor order, as listed by
+``minors.enhanced_children``, yields an enhanced graph in which every
+configuration splits; that is read off the reductions' own minimal-protection
+tables.
 
 The default census contains the simple 3-connected graphs; an unrestricted
 mode (all connected simple graphs, small edge counts only) validates that the
@@ -26,24 +26,18 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph_core import (
-    MultiGraph,
-    contract_edge,
-    delete_edge,
-    delete_vertex,
-    find_isomorphism,
-    is_k_connected,
-)
+from .graph_core import MultiGraph, find_isomorphism, is_k_connected
 from .minors import (
     CatalogEntry,
     assign_dual_partners,
     canonical_form,
     canonical_graph_key,
     canonical_labeling,
+    enhanced_children,
     f0,
     family_label,
 )
-from .splitting import EnhancedGraph, _bad_side, _derived, config_splits
+from .splitting import EnhancedGraph, _bad_side, _derived, graph_splits
 
 _MAX_SEARCH_EDGES = 12
 _MAX_UNRESTRICTED_EDGES = 8
@@ -268,8 +262,7 @@ def _host_entries(
     for s, cd in rows.items():
         if cd not in by_cd:
             by_cd[cd] = s
-    cds = list(by_cd)
-    child_rows: dict[tuple, dict] = {}
+    child_rows: dict[tuple, dict] = {g.key(): rows}
 
     def crows(h: MultiGraph) -> dict:
         k = h.key()
@@ -277,52 +270,18 @@ def _host_entries(
             child_rows[k] = _config_minima(h)
         return child_rows[k]
 
-    out: list[tuple[frozenset[int], frozenset[int], frozenset[int]]] = []
-    for c, d in cds:
-        # protection removals stay non-split iff a strictly smaller row exists
-        if any(c2 <= c and d2 <= d and (c2, d2) != (c, d) for c2, d2 in cds):
-            continue
-        if not include_plain and not c and not d:
-            continue
-        minimal = True
-        for f in sorted(g.edges):
-            if f not in d and _fits(crows(delete_edge(g, f)), c - {f}, d):
-                minimal = False
-                break
-            if f not in c and not g.is_loop(f):
-                h = contract_edge(g, f)
-                ids = h.edge_ids()
-                if _fits(crows(h), c & ids, d & ids):
-                    minimal = False
-                    break
-        if minimal:
-            for v in sorted(g.vertices):
-                h = delete_vertex(g, v)
-                ids = h.edge_ids()
-                if _fits(crows(h), c & ids, d & ids):
-                    minimal = False
-                    break
-        if minimal:
-            for w in sorted(g.vertices):
-                inc = g.incident_edges(w)
-                if len(inc) != 2 or g.degree(w) != 2:
-                    continue
-                e1, e2 = sorted(inc)
-                if g.edges[e1] == g.edges[e2]:
-                    continue
-                for keep, con in ((e1, e2), (e2, e1)):
-                    if con in c:
-                        continue
-                    h = contract_edge(g, con)
-                    ids = h.edge_ids()
-                    if keep in ids and _fits(crows(h), (c & ids) | {keep}, d & ids):
-                        minimal = False
-                        break
-                if not minimal:
-                    break
-        if minimal:
-            out.append((c, d, by_cd[(c, d)]))
-    return out
+    # A candidate is minimal when every one-step reduction splits.  Protection
+    # removals are yielded first and read this host's own table, so they
+    # reject most non-minimal candidates before any smaller graph is tabulated.
+    return [
+        (c, d, s)
+        for (c, d), s in by_cd.items()
+        if (include_plain or c or d)
+        and not any(
+            _fits(crows(child.graph), child.contract_protected, child.delete_protected)
+            for _, child in enhanced_children(EnhancedGraph(g, c, d))
+        )
+    ]
 
 
 # -- worker transport and checkpointing ----------------------------------------
@@ -488,12 +447,9 @@ def build_catalog(cfg: SearchConfig) -> list[CatalogEntry]:
     for pat in f0():
         if pat.graph.m > cfg.max_edges:
             continue
-        witness = None
-        for s in itertools.combinations(sorted(pat.graph.edges), 5):
-            if not config_splits(pat.graph, frozenset(s)).splits:
-                witness = frozenset(s)
-                break
-        assert witness is not None
+        splits, witness = graph_splits(pat.graph)
+        if splits:
+            raise RuntimeError(f"forbidden graph {pat.name} splits")
         canon, wit, _ = canonical_labeling(EnhancedGraph(pat.graph), witness)
         entries.append(CatalogEntry(canon, wit, pat.name, pat.graph.m, None))
     entries.sort(key=_entry_sort_key)

@@ -33,6 +33,7 @@ from .graph_core import (
     connected_components,
     contract_edge,
     delete_edge,
+    enumerate_low_order_separations,
     is_connected,
     is_k_connected,
     pieces,
@@ -296,38 +297,28 @@ def to_enhanced(g: MultiGraph, config: Iterable[int]) -> tuple[EnhancedGraph, fr
     if _engine(g, s, frozenset(), frozenset()).splits:
         raise ValueError("the configuration splits; it has no enhanced form")
     holders = [b for b in blocks(g) if b & s]
-    assert len(holders) == 1, "a non-split configuration lives in one block"
+    if len(holders) != 1:
+        raise RuntimeError("a non-split configuration lives in one block")
     block_edges = holders[0]
     gp = MultiGraph(
         {v for e in block_edges for v in g.endpoints(e)},
         {e: g.edges[e] for e in block_edges},
     )
-    lobes: set[frozenset[int]] = set()
-    all_block = gp.edge_ids()
-    for x_size in range(3):
-        for x in itertools.combinations(sorted(gp.vertices), x_size):
-            piece_sets = pieces(gp, x)
-            for bits in range(1, 1 << len(piece_sets)):
-                side = frozenset().union(
-                    *(piece_sets[i] for i in range(len(piece_sets)) if bits >> i & 1)
-                )
-                if (
-                    side != all_block
-                    and len(side & s) <= 1
-                    and len(boundary(gp, side)) <= 2
-                ):
-                    lobes.add(side)
+    lobes = [
+        side
+        for sep in enumerate_low_order_separations(gp, 2)
+        for side in (sep.side_a, sep.side_b)
+        if side and len(side & s) <= 1
+    ]
     maximal: dict[int, frozenset[int]] = {}
     for e in sorted(gp.edges):
         m_e = frozenset([e]).union(*(lb for lb in lobes if e in lb))
-        assert len(m_e & s) <= 1 and len(boundary(gp, m_e)) <= 2, (
-            "union of lobes through an edge must again be a lobe"
-        )
+        if len(m_e & s) > 1 or len(boundary(gp, m_e)) > 2:
+            raise RuntimeError("union of lobes through an edge must again be a lobe")
         maximal[e] = m_e
     distinct = sorted({m for m in maximal.values()}, key=sorted)
-    assert sorted(e for lb in distinct for e in lb) == sorted(gp.edges), (
-        "maximal lobes must partition the block's edges"
-    )
+    if sorted(e for lb in distinct for e in lb) != sorted(gp.edges):
+        raise RuntimeError("maximal lobes must partition the block's edges")
     new_edges: dict[int, tuple[int, int]] = {}
     s_out: set[int] = set()
     c_out: set[int] = set()
@@ -341,7 +332,8 @@ def to_enhanced(g: MultiGraph, config: Iterable[int]) -> tuple[EnhancedGraph, fr
                 s_out.add(e)
             continue
         ends = boundary(gp, lb)
-        assert len(ends) == 2, "a collapsed lobe has exactly two boundary vertices"
+        if len(ends) != 2:
+            raise RuntimeError("a collapsed lobe has exactly two boundary vertices")
         x, y = sorted(ends)
         eid = next_id
         next_id += 1
@@ -351,40 +343,22 @@ def to_enhanced(g: MultiGraph, config: Iterable[int]) -> tuple[EnhancedGraph, fr
             continue
         s_out.add(eid)
         (se,) = lobe_s
-        if _connects(gp, lb - s, x, y):
+        rest = MultiGraph(gp.vertices, {f: gp.edges[f] for f in lb - s})
+        if any(ends <= comp for comp in connected_components(rest)):
             d_out.add(eid)
-        if frozenset(gp.endpoints(se)) != frozenset((x, y)):
+        if frozenset(gp.endpoints(se)) != ends:
             c_out.add(eid)
     gt = MultiGraph({v for uv in new_edges.values() for v in uv}, new_edges)
-    assert len(s_out) == 5
-    assert len(set(gt.edges.values())) == gt.m and not any(
-        u == v for u, v in gt.edges.values()
-    ), "the collapsed graph must be simple"
-    assert is_k_connected(gt, 3), "the collapsed graph must be 3-connected"
+    if len(s_out) != 5:
+        raise RuntimeError("the collapsed configuration must keep five edges")
+    if len(set(gt.edges.values())) != gt.m or any(u == v for u, v in gt.edges.values()):
+        raise RuntimeError("the collapsed graph must be simple")
+    if not is_k_connected(gt, 3):
+        raise RuntimeError("the collapsed graph must be 3-connected")
     eg = EnhancedGraph(gt, frozenset(c_out), frozenset(d_out))
-    assert not _engine(gt, frozenset(s_out), eg.contract_protected, eg.delete_protected).splits
+    if _engine(gt, frozenset(s_out), eg.contract_protected, eg.delete_protected).splits:
+        raise RuntimeError("the collapsed configuration must stay non-split")
     return eg, frozenset(s_out)
-
-
-def _connects(g: MultiGraph, edge_subset: frozenset[int], x: int, y: int) -> bool:
-    """Is there an x-y path using only the given edges?"""
-    if x == y:
-        return True
-    reach = {x}
-    grow = True
-    while grow:
-        grow = False
-        for e in edge_subset:
-            u, v = g.endpoints(e)
-            if u in reach and v not in reach:
-                reach.add(v)
-                grow = True
-            elif v in reach and u not in reach:
-                reach.add(u)
-                grow = True
-        if y in reach:
-            return True
-    return False
 
 
 def association_roundtrip_ok(g: MultiGraph, config: Iterable[int]) -> bool:
@@ -473,5 +447,6 @@ def from_enhanced(
                 if in_s:
                     s_out.add(e)
     out = MultiGraph(vertices, edges)
-    assert out.m == eg.weight, "gadget expansion must preserve the weight"
+    if out.m != eg.weight:
+        raise RuntimeError("gadget expansion must preserve the weight")
     return out, frozenset(s_out)

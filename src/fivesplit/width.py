@@ -12,7 +12,7 @@ space is 2^m; instances beyond 22 edges are refused.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph_core import MultiGraph
 

@@ -183,6 +183,8 @@ def test_enhanced_children_operations():
     # determinism
     names = [name for name, _ in enhanced_children(eg)]
     assert names == [name for name, _ in enhanced_children(eg)]
+    # protection removals come first
+    assert names[:2] == ["unprotect contract 1", "unprotect delete 2"]
 
 
 def test_parallel_merge_child():

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from fivesplit.graph_core import MultiGraph, find_isomorphism, is_k_connected
-from fivesplit.minors import canonical_form, parse_catalog, render_catalog
+from fivesplit.minors import canonical_form, enhanced_children, parse_catalog, render_catalog
 from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
@@ -18,12 +18,14 @@ from fivesplit.named_graphs import (
 )
 from fivesplit.search import (
     SearchConfig,
+    _config_minima,
+    _host_entries,
     build_catalog,
     enumerate_underlying,
     find_minimal_nonsplit,
     verify_catalog,
 )
-from fivesplit.splitting import graph_splits
+from fivesplit.splitting import EnhancedGraph, config_splits, graph_splits
 
 
 def test_config_validation():
@@ -226,3 +228,29 @@ def test_checkpoint_header_mismatch_is_ignored(tmp_path):
         entries = find_minimal_nonsplit(SearchConfig(max_edges=8, checkpoint=path))
     assert any("checkpoint" in str(w.message).lower() for w in caught)
     assert len(entries) == 11
+
+
+def test_host_entries_agree_with_the_engine():
+    # Every distinct minimal-protection row is a candidate; it is kept exactly
+    # when it is non-split and each one-step reduction splits outright.
+    hosts = [g for m in range(6, 10) for g in enumerate_underlying(m)]
+    hosts += [g for m in range(5, 8) for g in enumerate_underlying(m, three_connected=False)]
+    checked = 0
+    for g in hosts:
+        first: dict[tuple, frozenset[int]] = {}
+        for s, cd in _config_minima(g).items():
+            first.setdefault(cd, s)
+        for include_plain in (False, True):
+            kept = {(c, d): w for c, d, w in _host_entries(g, include_plain)}
+            assert set(kept) <= set(first)
+            for (c, d), s in first.items():
+                eg = EnhancedGraph(g, c, d)
+                assert not config_splits(eg, s).splits
+                minimal = all(graph_splits(child)[0] for _, child in enhanced_children(eg))
+                assert ((c, d) in kept) == (minimal and (include_plain or bool(c or d))), (
+                    g.edges, c, d, include_plain
+                )
+                if (c, d) in kept:
+                    assert kept[(c, d)] == s
+                checked += 1
+    assert checked > 0

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import fivesplit
 
 from fivesplit.graph_core import (
     MultiGraph,
@@ -14,6 +20,7 @@ from fivesplit.graph_core import (
     is_connected,
 )
 from fivesplit.matroid import common_tree_exists
+from fivesplit.minors import canonical_form, parse_catalog
 from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
@@ -39,6 +46,7 @@ from fivesplit.splitting import (
 )
 
 K33_WITNESS = frozenset({1, 2, 4, 5, 9})
+GOLDEN = Path(__file__).resolve().parent.parent / "data" / "catalog_max11.txt"
 
 
 def _pairings(rest):
@@ -283,8 +291,6 @@ def test_from_enhanced_weight_is_edge_count():
         assert out.m == eg.weight == 16
         assert len(s_out) == 5
         back, s_back = to_enhanced(out, s_out)
-        from fivesplit.minors import canonical_form
-
         assert canonical_form(back, s_back) == canonical_form(eg, s)
 
 
@@ -301,3 +307,35 @@ def test_association_roundtrip_on_witnesses():
     wit = graph_splits(g)[1]
     assert wit is not None
     assert association_roundtrip_ok(g, wit)
+
+
+def test_gadget_round_trip_on_golden_catalog():
+    entries = parse_catalog(GOLDEN.read_text(encoding="utf-8"))
+    assert len(entries) == 36
+    for entry in entries:
+        want = canonical_form(entry.enhanced, entry.witness)
+        for gadget in GADGETS:
+            back, s_back = to_enhanced(*from_enhanced(entry.enhanced, entry.witness, gadget))
+            assert canonical_form(back, s_back) == want, (entry.family, gadget)
+
+
+def test_to_enhanced_certificate_survives_optimised_python():
+    script = (
+        "import fivesplit.splitting as sp\n"
+        "from fivesplit.named_graphs import complete_bipartite\n"
+        "assert False, 'asserts are on'\n"
+        "sp.is_k_connected = lambda g, k: False\n"
+        "try:\n"
+        f"    sp.to_enhanced(complete_bipartite(3, 3), {sorted(K33_WITNESS)})\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(fivesplit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
