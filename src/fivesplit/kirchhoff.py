@@ -184,8 +184,10 @@ def dodgson(
     conv = convention or default_convention(g)
     validate_convention(g, conv)
     det = _poly_det(_dodgson_matrix(g, spec, conv))
-    assert det.max_exponent() <= 1, "Dodgson polynomial must be multilinear"
-    assert not det.variables() & (spec.i_set | spec.j_set | spec.k_set)
+    if det.max_exponent() > 1:
+        raise RuntimeError("Dodgson polynomial must be multilinear")
+    if det.variables() & (spec.i_set | spec.j_set | spec.k_set):
+        raise RuntimeError("Dodgson polynomial has a variable of I, J or K")
     return det
 
 
@@ -240,7 +242,8 @@ def dodgson_via_trees(
         for e in u:
             sgn *= -1 if (rowpos[e] + colpos[e]) & 1 else 1
         out = out + MultiPoly.monomial(u, sgn)
-    assert out.max_exponent() <= 1
+    if out.max_exponent() > 1:
+        raise RuntimeError("Dodgson polynomial must be multilinear")
     return out
 
 
@@ -260,7 +263,8 @@ def kirchhoff_poly(
         by_trees = by_trees + MultiPoly.monomial(all_edges - t)
     by_det = dodgson(g, DodgsonSpec(frozenset(), frozenset(), frozenset()), conv)
     by_det = by_det.sign_normalised()
-    assert by_det == by_trees, "determinant and tree-sum routes disagree"
+    if by_det != by_trees:
+        raise RuntimeError("determinant and tree-sum routes disagree")
     return by_trees
 
 

@@ -27,16 +27,18 @@ from typing import Iterable, Iterator, Mapping
 from . import named_graphs as ng
 from .graph_core import (
     MultiGraph,
+    blocks,
     contract_edge,
     delete_edge,
     delete_vertex,
-    find_isomorphism,
+    edge_vertices,
     spanning_trees,
 )
 from .splitting import EnhancedGraph
 
 _MAX_CANON_VERTICES = 12
 _MAX_CANON_ORDERINGS = 2_000_000
+_MAX_MINOR_HOST_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -49,34 +51,39 @@ class MinorPattern:
             raise ValueError("minor patterns must be loopless")
 
 
-def _connected_vertex_masks(g: MultiGraph) -> list[int]:
-    verts = sorted(g.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for u, v in g.edges.values():
-        if u != v:
-            adj[idx[u]] |= 1 << idx[v]
-            adj[idx[v]] |= 1 << idx[u]
+def _connected_vertex_masks(adj: list[int]) -> list[tuple[int, int]]:
+    """Every connected vertex set of a bitmask adjacency, with its neighbours.
+
+    Each set comes as (mask, neighbour mask outside the set), ordered by size
+    and then by mask.
+    """
     out = []
-    for mask in range(1, 1 << len(verts)):
+    for mask in range(1, 1 << len(adj)):
         low = mask & -mask
         seen = low
         frontier = low
+        reach = 0
         while frontier:
             nxt = 0
-            i = 0
-            f = frontier
-            while f:
-                if f & 1:
-                    nxt |= adj[i] & mask & ~seen
-                f >>= 1
-                i += 1
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                row = adj[bit.bit_length() - 1]
+                reach |= row
+                nxt |= row & mask & ~seen
             seen |= nxt
             frontier = nxt
         if seen == mask:
-            out.append(mask)
-    out.sort(key=lambda m: (bin(m).count("1"), m))
+            out.append((mask, reach & ~mask))
+    out.sort(key=lambda mr: (mr[0].bit_count(), mr[0]))
     return out
+
+
+def _check_host_size(host: MultiGraph) -> None:
+    if host.n > _MAX_MINOR_HOST_VERTICES:
+        raise ValueError(
+            f"minor search supports hosts with at most {_MAX_MINOR_HOST_VERTICES} vertices"
+        )
 
 
 def _minor_search(
@@ -84,20 +91,21 @@ def _minor_search(
 ) -> bool:
     if pattern.n == 0:
         return True
-    if host.n > 16:
-        raise ValueError("minor search supports hosts with at most 16 vertices")
+    _check_host_size(host)
     if pattern.m > host.m or pattern.n > host.n:
         return False
     hverts = sorted(host.vertices)
     hidx = {v: i for i, v in enumerate(hverts)}
-    host_pairs: list[tuple[int, int, int]] = []
-    pair_mult: dict[tuple[int, int], int] = {}
+    # per host vertex: a neighbour bitmask and a row of edge multiplicities
+    nbr = [0] * len(hverts)
+    mult = [[0] * len(hverts) for _ in hverts]
     for u, v in host.edges.values():
         if u != v:
-            key = (hidx[u], hidx[v])
-            pair_mult[key] = pair_mult.get(key, 0) + 1
-    for (iu, iv), c in pair_mult.items():
-        host_pairs.append((1 << iu, 1 << iv, c))
+            iu, iv = hidx[u], hidx[v]
+            nbr[iu] |= 1 << iv
+            nbr[iv] |= 1 << iu
+            mult[iu][iv] += 1
+            mult[iv][iu] += 1
 
     pmult: dict[tuple[int, int], int] = {}
     for u, v in pattern.edges.values():
@@ -118,12 +126,16 @@ def _minor_search(
         order.append(v)
         remaining.discard(v)
 
-    conn = _connected_vertex_masks(host)
-    need = {
-        (i, j): pmult.get((min(order[i], order[j]), max(order[i], order[j])), 0)
+    conn = _connected_vertex_masks(nbr)
+    # needs[i]: (j, edges required between branch sets j and i) for j < i
+    needs = [
+        [
+            (j, k)
+            for j in range(i)
+            if (k := pmult.get((min(order[i], order[j]), max(order[i], order[j])), 0))
+        ]
         for i in range(len(order))
-        for j in range(i)
-    }
+    ]
     root_bits = {}
     if roots is not None:
         for pv, hv in roots.items():
@@ -134,59 +146,61 @@ def _minor_search(
             raise ValueError("root map must be injective")
 
     total = len(order)
+    full = (1 << len(hverts)) - 1
+    # pending[i]: (j, r) for each set j placed by step i that must still touch
+    # r sets placed after step i; each of those holds its own neighbour of set j
+    pending = [
+        [
+            (j, r)
+            for j in range(i + 1)
+            if (r := sum(jj == j for l in range(i + 1, total) for jj, _ in needs[l]))
+        ]
+        for i in range(total)
+    ]
 
     def edges_between(a: int, b: int) -> int:
-        return sum(
-            c
-            for bu, bv, c in host_pairs
-            if (bu & a and bv & b) or (bu & b and bv & a)
-        )
+        count = 0
+        while a:
+            bit = a & -a
+            a ^= bit
+            i = bit.bit_length() - 1
+            row = mult[i]
+            common = nbr[i] & b
+            while common:
+                low = common & -common
+                common ^= low
+                count += row[low.bit_length() - 1]
+        return count
 
-    def place(i: int, used: int, chosen: list[int]) -> bool:
+    def place(i: int, used: int, chosen: list[int], reaches: list[int]) -> bool:
         if i == total:
             return True
-        pv = order[i]
-        must = root_bits.get(pv, 0)
-        free = len(hverts) - bin(used).count("1")
+        must = root_bits.get(order[i], 0)
+        free = len(hverts) - used.bit_count()
         if free < total - i:
             return False
-        for mask in conn:
+        for mask, reach in conn:
             if mask & used:
                 continue
             if must and not mask & must:
                 continue
-            ok = True
-            for j in range(i):
-                k = need[(i, j)]
-                if k and edges_between(mask, chosen[j]) < k:
-                    ok = False
+            for j, k in needs[i]:
+                other = chosen[j]
+                # a set with no neighbour in the other has no edge to it
+                if not reach & other or (k > 1 and edges_between(mask, other) < k):
                     break
-            if ok:
+            else:
+                rest = full & ~(used | mask)
                 chosen.append(mask)
-                if place(i + 1, used | mask, chosen):
-                    return True
+                reaches.append(reach)
+                if all((reaches[j] & rest).bit_count() >= r for j, r in pending[i]):
+                    if place(i + 1, used | mask, chosen, reaches):
+                        return True
                 chosen.pop()
+                reaches.pop()
         return False
 
-    return place(0, 0, [])
-
-
-def has_minor(host: MultiGraph, pattern: MultiGraph | MinorPattern) -> bool:
-    """Branch-set minor containment; reflexive on isomorphic graphs."""
-    pg = pattern.graph if isinstance(pattern, MinorPattern) else pattern
-    if any(u == v for u, v in pg.edges.values()):
-        raise ValueError("patterns must be loopless")
-    return _minor_search(host, pg, None)
-
-
-def has_rooted_minor(
-    host: MultiGraph, pattern: MultiGraph | MinorPattern, root_map: Mapping[int, int]
-) -> bool:
-    """Minor containment with prescribed host vertices inside given branch sets."""
-    pg = pattern.graph if isinstance(pattern, MinorPattern) else pattern
-    if any(u == v for u, v in pg.edges.values()):
-        raise ValueError("patterns must be loopless")
-    return _minor_search(host, pg, dict(root_map))
+    return place(0, 0, [], [])
 
 
 def _simplified(g: MultiGraph) -> MultiGraph:
@@ -203,25 +217,101 @@ def _simplified(g: MultiGraph) -> MultiGraph:
     return MultiGraph(verts, edges)
 
 
-def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> bool:
-    """Independent route by deletion/contraction recursion (simple patterns only)."""
-    if _seen is None:
-        _seen = set()
-    h = _simplified(host)
-    if h.m < pattern.m or h.n < pattern.n:
-        return False
-    if h.m == pattern.m:
-        return h.n == pattern.n and find_isomorphism(h, pattern) is not None
-    key = canonical_form(EnhancedGraph(h))
-    if key in _seen:
-        return False
-    for e in sorted(h.edges):
-        if _has_minor_recursive(delete_edge(h, e), pattern, _seen):
-            return True
-        if _has_minor_recursive(contract_edge(h, e), pattern, _seen):
-            return True
-    _seen.add(key)
-    return False
+def _reduced(g: MultiGraph) -> MultiGraph:
+    """g with loops, parallel copies and vertices of degree <= 2 removed.
+
+    A vertex of degree <= 1 is deleted, and a degree-2 vertex v with
+    neighbours a, b is replaced by the edge ab (or just deleted when ab is
+    already an edge), until nothing changes.  Edges are renumbered.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for u, v in _simplified(g).edges.values():
+        adj[u].add(v)
+        adj[v].add(u)
+    todo = sorted(adj, reverse=True)
+    while todo:
+        v = todo.pop()
+        nb = adj.get(v)
+        if nb is None or len(nb) > 2:
+            continue
+        del adj[v]
+        for w in nb:
+            adj[w].discard(v)
+        if len(nb) == 2:
+            a, b = nb
+            adj[a].add(b)
+            adj[b].add(a)
+        todo.extend(sorted(nb))
+    pairs = sorted((u, w) for u in adj for w in adj[u] if u < w)
+    return MultiGraph(adj, {i + 1: uv for i, uv in enumerate(pairs)})
+
+
+def _reduced_blocks(g: MultiGraph, min_n: int, min_m: int) -> list[MultiGraph]:
+    """The blocks of the reduction of g, each reduced again, down to a fixed point.
+
+    Blocks with fewer than min_n vertices or min_m edges are skipped.
+    """
+    r = _reduced(g)
+    parts = blocks(r)
+    if len(parts) <= 1:
+        return [r] if r.n >= min_n and r.m >= min_m else []
+    out: list[MultiGraph] = []
+    for part in parts:
+        if len(part) >= min_m:
+            sub = MultiGraph(edge_vertices(r, part), {e: r.edges[e] for e in part})
+            if sub.n >= min_n:
+                out.extend(_reduced_blocks(sub, min_n, min_m))
+    return out
+
+
+def _reduces_exactly(pattern: MultiGraph) -> bool:
+    """Is the loopless pattern simple and 2-connected, with minimum degree >= 3?"""
+    return (
+        len(set(pattern.edges.values())) == pattern.m
+        and all(pattern.degree(v) >= 3 for v in pattern.vertices)
+        and len(blocks(pattern)) == 1
+    )
+
+
+def has_minor(host: MultiGraph, pattern: MultiGraph | MinorPattern) -> bool:
+    """Branch-set minor containment; reflexive on isomorphic graphs.
+
+    A pattern H that is simple and 2-connected with minimum degree >= 3 (every
+    F0 graph is) is searched for in the reduced blocks of the host instead of
+    the host itself, which gives the same answer:
+
+    - H is simple, so loops and parallel copies in the host are never needed;
+    - H has minimum degree >= 3, so no branch set is a single vertex of degree
+      <= 2; a vertex of degree <= 1 in a larger branch set is a leaf of it and
+      can be deleted;
+    - a degree-2 vertex v with neighbours a, b then shares a branch set with a
+      (say) and at most links that set to b, which the edge ab does as well;
+      contracting va gives ab, so the reduced host is a minor of the host;
+    - H is 2-connected, so a model of H lies inside one block of the host.
+
+    The 16-vertex host limit applies to the reduced blocks large enough to
+    hold H, and is checked for all of them before any search.  Other patterns
+    are searched for in the host as it is.
+    """
+    pg = pattern.graph if isinstance(pattern, MinorPattern) else pattern
+    if any(u == v for u, v in pg.edges.values()):
+        raise ValueError("patterns must be loopless")
+    if not _reduces_exactly(pg):
+        return _minor_search(host, pg, None)
+    hosts = _reduced_blocks(host, pg.n, pg.m)
+    for h in hosts:
+        _check_host_size(h)
+    return any(_minor_search(h, pg, None) for h in hosts)
+
+
+def has_rooted_minor(
+    host: MultiGraph, pattern: MultiGraph | MinorPattern, root_map: Mapping[int, int]
+) -> bool:
+    """Minor containment with prescribed host vertices inside given branch sets."""
+    pg = pattern.graph if isinstance(pattern, MinorPattern) else pattern
+    if any(u == v for u, v in pg.edges.values()):
+        raise ValueError("patterns must be loopless")
+    return _minor_search(host, pg, dict(root_map))
 
 
 # The forbidden five, in the order minor-check --f0 reports them.
@@ -312,7 +402,8 @@ def _least_encoding(
         if best_enc is None or enc < best_enc:
             best_enc = enc
             best_pos = pos
-    assert best_enc is not None and best_pos is not None
+    if best_enc is None or best_pos is None:
+        raise RuntimeError("canonical search tried no vertex ordering")
     return best_enc, best_pos, colors
 
 

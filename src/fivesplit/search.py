@@ -473,7 +473,8 @@ def verify_catalog(cfg: SearchConfig, golden: list[CatalogEntry]) -> VerifyRepor
     def lines(entries: list[CatalogEntry]) -> dict[tuple, str]:
         rendered = render_catalog(entries).splitlines()
         body = [ln for ln in rendered if ln and not ln.startswith("#")]
-        assert len(body) == len(entries)
+        if len(body) != len(entries):
+            raise RuntimeError("rendered catalog has a line count unlike its entries")
         return {canonical_form(e.enhanced): ln for e, ln in zip(entries, body)}
 
     gold, new = lines(golden), lines(rebuilt)

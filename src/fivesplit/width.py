@@ -90,7 +90,8 @@ def graph_width(g: MultiGraph) -> tuple[int, tuple[int, ...]]:
         mask &= ~(1 << i)
     ordering.reverse()
     width = f[full]
-    assert ordering_width(g, ordering) == width
+    if ordering_width(g, ordering) != width:
+        raise RuntimeError("the width DP's ordering does not attain its width")
     return width, tuple(ordering)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import fivesplit
 from fivesplit.cli import main
-from fivesplit.graph_core import render_graph_text
+from fivesplit.graph_core import MultiGraph, render_graph_text
 from fivesplit.kirchhoff import kirchhoff_poly
 from fivesplit.minors import parse_catalog
 from fivesplit.poly import parse_poly
@@ -263,17 +264,20 @@ def test_verify_catalog_command(tmp_path, capsys):
     assert len(payload["unexpected"]) == 2
 
 
-def _verify_catalog_process(tmp_path, text):
+def _cli_process(*argv):
     env = dict(os.environ)
     src = str(Path(fivesplit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    golden = tmp_path / "golden.txt"
-    golden.write_text(text, encoding="utf-8")
     return subprocess.run(
-        [sys.executable, "-m", "fivesplit.cli", "verify-catalog",
-         "--golden", str(golden), "--max-edges", "6"],
+        [sys.executable, "-m", "fivesplit.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _verify_catalog_process(tmp_path, text):
+    golden = tmp_path / "golden.txt"
+    golden.write_text(text, encoding="utf-8")
+    return _cli_process("verify-catalog", "--golden", str(golden), "--max-edges", "6")
 
 
 def _assert_usage_error(proc, message):
@@ -309,6 +313,36 @@ def test_inconsistent_catalog_entry_is_a_usage_error(tmp_path):
     for old, new, message in damaged:
         proc = _verify_catalog_process(tmp_path, _K4_ENTRY.replace(old, new) + "\n")
         _assert_usage_error(proc, message)
+
+
+def _from_pairs(pairs):
+    vertices = {v for uv in pairs for v in uv}
+    return MultiGraph(vertices, {i + 1: uv for i, uv in enumerate(pairs)})
+
+
+def test_minor_check_f0_on_large_hosts_with_small_reduced_blocks(tmp_path, capsys):
+    # six K4 blocks in a row: 19 vertices, every reduced block a K4
+    chain = _from_pairs([(3 * b + x, 3 * b + y) for b in range(6)
+                         for x, y in itertools.combinations(range(4), 2)])
+    code, payload, _ = _run_json(capsys, "minor-check", _graph_file(tmp_path, "c.txt", chain), "--f0")
+    assert code == 1
+    assert payload["f0_free"]
+    # K3,3 with every edge subdivided twice: 24 vertices, reduces to K3,3
+    twice = _from_pairs([p for k, (u, v) in enumerate(complete_bipartite(3, 3).edges.values())
+                         for p in ((u, 6 + 2 * k), (6 + 2 * k, 7 + 2 * k), (7 + 2 * k, v))])
+    assert twice.n == 24
+    code, payload, _ = _run_json(capsys, "minor-check", _graph_file(tmp_path, "s.txt", twice), "--f0")
+    assert code == 0
+    assert payload["patterns"] == {"K3,3": True, "K5": False, "C": False, "H": False, "O": False}
+
+
+def test_minor_check_f0_refuses_a_large_reduced_block(tmp_path):
+    # the 9-prism: cubic, 3-connected, 18 vertices, so it reduces to itself
+    prism9 = _from_pairs([(i, (i + 1) % 9) for i in range(9)]
+                         + [(9 + i, 9 + (i + 1) % 9) for i in range(9)]
+                         + [(i, 9 + i) for i in range(9)])
+    proc = _cli_process("minor-check", _graph_file(tmp_path, "p.txt", prism9), "--f0")
+    _assert_usage_error(proc, "minor search supports hosts with at most 16 vertices")
 
 
 def test_unreadable_graph_is_a_usage_error(tmp_path, capsys):

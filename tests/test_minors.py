@@ -6,12 +6,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fivesplit.minors as minors_module
 from fivesplit.graph_core import MultiGraph, find_isomorphism
 from fivesplit.minors import (
     CatalogEntry,
     MinorPattern,
-    _has_minor_recursive,
+    _minor_search,
+    _reduces_exactly,
+    _simplified,
     assign_dual_partners,
     canonical_form,
     canonical_graph_key,
@@ -43,6 +48,7 @@ from fivesplit.named_graphs import (
 )
 from fivesplit.search import SearchConfig, build_catalog, enumerate_underlying
 from fivesplit.splitting import EnhancedGraph, plain
+from oracles import _has_minor_recursive
 
 
 def test_basic_minor_facts():
@@ -110,6 +116,188 @@ def test_rooted_minor_multiplicity():
     c4 = cycle_graph(4)
     assert has_rooted_minor(c4, double, {0: 0, 1: 1})
     assert not has_rooted_minor(path_graph(3), double, {0: 0, 1: 2})
+
+
+# -- the reduced-block search -------------------------------------------------
+
+_DOUBLE_EDGE = MultiGraph([0, 1], {1: (0, 1), 2: (0, 1)})
+_K4_PENDANT = MultiGraph(range(5), {**complete_graph(4).edges, 7: (3, 4)})
+
+
+def _glued(g: MultiGraph, h: MultiGraph, pairs: dict[int, int]) -> MultiGraph:
+    """Disjoint union of g and h, with h's vertex v identified with g's pairs[v]."""
+    off = max(g.vertices) + 1
+    label = {v: pairs.get(v, off + v) for v in h.vertices}
+    top = max(g.edges, default=0)
+    edges = {**g.edges, **{top + e: (label[u], label[v]) for e, (u, v) in h.edges.items()}}
+    return MultiGraph(g.vertices | set(label.values()), edges)
+
+
+def _two_sum(g: MultiGraph, h: MultiGraph) -> MultiGraph:
+    """Glue h's lowest edge onto g's lowest edge, then delete both."""
+    (e, (a, b)), (f, (c, d)) = min(g.edges.items()), min(h.edges.items())
+    glued = _glued(g, MultiGraph(h.vertices, {i: uv for i, uv in h.edges.items() if i != f}),
+                   {c: a, d: b})
+    return MultiGraph(glued.vertices, {i: uv for i, uv in glued.edges.items() if i != e})
+
+
+def _subdivided(g: MultiGraph, times: int) -> MultiGraph:
+    """Every edge of g replaced by a path with `times` inner vertices."""
+    edges: dict[int, tuple[int, int]] = {}
+    first = nxt = max(g.vertices) + 1
+    for u, v in g.edges.values():
+        path = [u, *range(nxt, nxt + times), v]
+        nxt += times
+        for a, b in zip(path, path[1:]):
+            edges[len(edges) + 1] = (a, b)
+    return MultiGraph(g.vertices | set(range(first, nxt)), edges)
+
+
+def _chain_of_k4s(count: int) -> MultiGraph:
+    """K4 blocks in a row, block b on vertices 3b..3b+3."""
+    pairs = [(3 * b + x, 3 * b + y) for b in range(count)
+             for x, y in itertools.combinations(range(4), 2)]
+    return MultiGraph(range(3 * count + 1), {i + 1: uv for i, uv in enumerate(pairs)})
+
+
+def _nine_prism() -> MultiGraph:
+    """C9 x K2: cubic, 3-connected, 18 vertices."""
+    pairs = [(i, (i + 1) % 9) for i in range(9)]
+    pairs += [(9 + i, 9 + (i + 1) % 9) for i in range(9)]
+    pairs += [(i, 9 + i) for i in range(9)]
+    return MultiGraph(range(18), {i + 1: uv for i, uv in enumerate(pairs)})
+
+
+def _assert_routes_agree(host: MultiGraph, pattern: MultiGraph) -> bool:
+    """has_minor against the unreduced search, and against the recursive oracle
+    where the pattern is simple and the recursion is short."""
+    want = _minor_search(host, pattern, None)
+    assert has_minor(host, pattern) == want
+    simple = len(set(pattern.edges.values())) == pattern.m
+    if simple and _simplified(host).m - pattern.m <= 4:
+        assert _has_minor_recursive(host, pattern) == want
+    return want
+
+
+def test_reduction_applies_to_simple_2_connected_patterns_of_min_degree_3():
+    assert all(_reduces_exactly(build()) for build in NAMED_GRAPHS.values())
+    k4_bowtie = _glued(complete_graph(4), complete_graph(4), {0: 3})
+    for pattern in (_DOUBLE_EDGE, cycle_graph(4), _K4_PENDANT, path_graph(1),
+                    k4_bowtie, MultiGraph([], {})):
+        assert not _reduces_exactly(pattern)
+
+
+def test_patterns_outside_the_reduction_keep_their_answers():
+    # each host would reduce to nothing, or lose the pendant edge
+    assert has_minor(cycle_graph(4), cycle_graph(4))
+    assert has_minor(cycle_graph(4), _DOUBLE_EDGE)
+    assert has_minor(_K4_PENDANT, _K4_PENDANT)
+    assert has_minor(_glued(complete_graph(4), complete_graph(4), {0: 3}),
+                     _glued(complete_graph(4), complete_graph(4), {0: 3}))
+
+
+def test_rooted_minor_keeps_the_whole_host():
+    # vertex 4 subdivides edge 0-1 of K4; the reduction would suppress it
+    sub_k4 = MultiGraph(range(5), {**complete_graph(4).edges, 1: (0, 4), 7: (1, 4)})
+    assert has_rooted_minor(sub_k4, complete_graph(4), {0: 4})
+    assert has_rooted_minor(_K4_PENDANT, complete_graph(4), {3: 4})
+    assert not has_rooted_minor(_K4_PENDANT, complete_graph(4), {0: 4, 3: 3})
+
+
+@st.composite
+def _messy_hosts(draw, max_n=10):
+    """A multigraph of any connectivity on at most max_n vertices.
+
+    A random base graph, or a registry graph, then a few steps that each add a
+    loop, a parallel edge, a pendant vertex, a subdivision vertex or a triangle
+    hung on a cut vertex.
+    """
+    if draw(st.booleans()):
+        g = named_graph(draw(st.sampled_from(sorted(NAMED_GRAPHS))))
+        label = {v: i for i, v in enumerate(sorted(g.vertices))}
+        ends = [(label[u], label[v]) for u, v in g.edges.values()]
+        n = g.n
+    else:
+        n = draw(st.integers(min_value=1, max_value=max_n - 2))
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        ends = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    for step in draw(st.lists(st.integers(min_value=0, max_value=4), max_size=4)):
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if step == 0:
+            ends.append((v, v))
+        elif step == 1 and ends:
+            ends.append(draw(st.sampled_from(ends)))
+        elif step == 2 and n < max_n:
+            ends.append((v, n))
+            n += 1
+        elif step == 3 and ends and n < max_n:
+            a, b = ends.pop(draw(st.integers(min_value=0, max_value=len(ends) - 1)))
+            ends += [(a, n), (n, b)]
+            n += 1
+        elif step == 4 and n + 2 <= max_n:
+            ends += [(v, n), (v, n + 1), (n, n + 1)]
+            n += 2
+    return MultiGraph(range(n), {e: (min(u, v), max(u, v)) for e, (u, v) in enumerate(ends, 1)})
+
+
+_PATTERNS = [named_graph(name) for name in sorted(NAMED_GRAPHS)]
+_PATTERNS += [_DOUBLE_EDGE, cycle_graph(4), _K4_PENDANT]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_messy_hosts(), st.sampled_from(_PATTERNS))
+def test_reduced_search_agrees_on_messy_multigraphs(host, pattern):
+    _assert_routes_agree(host, pattern)
+
+
+def test_reduced_search_agrees_on_registry_graphs():
+    for host in NAMED_GRAPHS.values():
+        for pattern in NAMED_GRAPHS.values():
+            _assert_routes_agree(host(), pattern())
+
+
+def test_f0_graphs_survive_two_sums_and_subdivisions():
+    pats = f0()
+    for p in pats:
+        for q in [*pats, MinorPattern("K4", complete_graph(4))]:
+            s = _two_sum(p.graph, q.graph)
+            assert _assert_routes_agree(s, p.graph)
+            assert has_minor(s, q.graph)
+        once = _subdivided(p.graph, 1)
+        assert has_minor(once, p)
+        if once.n <= 16:
+            assert _minor_search(once, p.graph, None)
+
+
+def test_large_hosts_with_small_reduced_blocks_get_answers():
+    chain = _chain_of_k4s(6)
+    assert chain.n == 19
+    with pytest.raises(ValueError, match="at most 16 vertices"):
+        _minor_search(chain, complete_graph(4), None)
+    assert has_minor(chain, complete_graph(4))
+    assert not has_minor(chain, complete_graph(5))
+    assert f0_free(chain)
+    k33 = complete_bipartite(3, 3)
+    twice = _subdivided(k33, 2)
+    assert twice.n == 24
+    assert has_minor(twice, k33)
+    assert not has_minor(twice, complete_graph(5))
+
+
+def test_large_reduced_blocks_are_refused_before_any_search(monkeypatch):
+    searched = []
+    monkeypatch.setattr(
+        minors_module, "_minor_search", lambda *args: searched.append(args) or True
+    )
+    prism9 = _nine_prism()
+    # a K3,3 block that would answer at once, hung on the prism by a cut vertex
+    host = _glued(complete_bipartite(3, 3), prism9, {0: 0})
+    for g in (prism9, host):
+        for p in f0():
+            with pytest.raises(ValueError, match="at most 16 vertices"):
+                has_minor(g, p)
+    assert searched == []
+
 
 
 def _relabel(eg: EnhancedGraph, rng: random.Random) -> EnhancedGraph:

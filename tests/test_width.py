@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fivesplit
 from fivesplit.graph_core import MultiGraph, separation_order
 from fivesplit.named_graphs import (
     complete_graph,
@@ -121,3 +126,25 @@ def test_zero_edge_graph_rejected():
         graph_width(MultiGraph([0], {}))
     with pytest.raises(ValueError):
         has_width_le(MultiGraph([0], {}), 1)
+
+
+def test_width_certificate_survives_optimised_python():
+    script = (
+        "import fivesplit.width as w\n"
+        "from fivesplit.named_graphs import cycle_graph\n"
+        "assert False, 'asserts are on'\n"
+        "w.ordering_width = lambda g, ordering: -1\n"
+        "try:\n"
+        "    w.graph_width(cycle_graph(4))\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(fivesplit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
