@@ -435,31 +435,40 @@ def blocks(g: MultiGraph) -> list[EdgeSubset]:
     low: dict[int, int] = {}
     counter = itertools.count()
     stack: list[int] = []
-
-    def dfs(u: int, parent_edge: int) -> None:
-        disc[u] = low[u] = next(counter)
-        for e, w in adj[u]:
-            if e == parent_edge:
-                continue
-            if w not in disc:
-                stack.append(e)
-                dfs(w, e)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
+    # depth-first search with an explicit stack of (vertex, edge to its
+    # parent, remaining incident edges), so deep graphs do not recurse
+    for root in sorted(g.vertices):
+        if root in disc:
+            continue
+        disc[root] = low[root] = next(counter)
+        frames = [(root, -1, iter(adj[root]))]
+        while frames:
+            u, parent_edge, incident = frames[-1]
+            for e, w in incident:
+                if e == parent_edge:
+                    continue
+                if w not in disc:
+                    stack.append(e)
+                    disc[w] = low[w] = next(counter)
+                    frames.append((w, e, iter(adj[w])))
+                    break
+                if disc[w] < disc[u]:
+                    stack.append(e)
+                    low[u] = min(low[u], disc[w])
+            else:
+                frames.pop()
+                if not frames:
+                    continue
+                p = frames[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] >= disc[p]:
                     blk: set[int] = set()
                     while True:
                         f = stack.pop()
                         blk.add(f)
-                        if f == e:
+                        if f == parent_edge:
                             break
                     out.append(frozenset(blk))
-            elif disc[w] < disc[u]:
-                stack.append(e)
-                low[u] = min(low[u], disc[w])
-
-    for root in sorted(g.vertices):
-        if root not in disc:
-            dfs(root, -1)
     return out
 
 

@@ -146,17 +146,6 @@ def _minor_search(
             raise ValueError("root map must be injective")
 
     total = len(order)
-    full = (1 << len(hverts)) - 1
-    # pending[i]: (j, r) for each set j placed by step i that must still touch
-    # r sets placed after step i; each of those holds its own neighbour of set j
-    pending = [
-        [
-            (j, r)
-            for j in range(i + 1)
-            if (r := sum(jj == j for l in range(i + 1, total) for jj, _ in needs[l]))
-        ]
-        for i in range(total)
-    ]
 
     def edges_between(a: int, b: int) -> int:
         count = 0
@@ -172,7 +161,7 @@ def _minor_search(
                 count += row[low.bit_length() - 1]
         return count
 
-    def place(i: int, used: int, chosen: list[int], reaches: list[int]) -> bool:
+    def place(i: int, used: int, chosen: list[int]) -> bool:
         if i == total:
             return True
         must = root_bits.get(order[i], 0)
@@ -190,17 +179,13 @@ def _minor_search(
                 if not reach & other or (k > 1 and edges_between(mask, other) < k):
                     break
             else:
-                rest = full & ~(used | mask)
                 chosen.append(mask)
-                reaches.append(reach)
-                if all((reaches[j] & rest).bit_count() >= r for j, r in pending[i]):
-                    if place(i + 1, used | mask, chosen, reaches):
-                        return True
+                if place(i + 1, used | mask, chosen):
+                    return True
                 chosen.pop()
-                reaches.pop()
         return False
 
-    return place(0, 0, [], [])
+    return place(0, 0, [])
 
 
 def _simplified(g: MultiGraph) -> MultiGraph:

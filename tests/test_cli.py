@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import subprocess
@@ -13,7 +12,7 @@ import pytest
 
 import fivesplit
 from fivesplit.cli import main
-from fivesplit.graph_core import MultiGraph, render_graph_text
+from fivesplit.graph_core import render_graph_text
 from fivesplit.kirchhoff import kirchhoff_poly
 from fivesplit.minors import parse_catalog
 from fivesplit.poly import parse_poly
@@ -25,6 +24,7 @@ from fivesplit.named_graphs import (
     triangle,
     wheel,
 )
+from builders import chain_of_k4s, cycle_prism, subdivided
 
 
 def _graph_file(tmp_path, name, g, c=(), d=()):
@@ -315,21 +315,14 @@ def test_inconsistent_catalog_entry_is_a_usage_error(tmp_path):
         _assert_usage_error(proc, message)
 
 
-def _from_pairs(pairs):
-    vertices = {v for uv in pairs for v in uv}
-    return MultiGraph(vertices, {i + 1: uv for i, uv in enumerate(pairs)})
-
-
 def test_minor_check_f0_on_large_hosts_with_small_reduced_blocks(tmp_path, capsys):
     # six K4 blocks in a row: 19 vertices, every reduced block a K4
-    chain = _from_pairs([(3 * b + x, 3 * b + y) for b in range(6)
-                         for x, y in itertools.combinations(range(4), 2)])
-    code, payload, _ = _run_json(capsys, "minor-check", _graph_file(tmp_path, "c.txt", chain), "--f0")
+    chain = _graph_file(tmp_path, "c.txt", chain_of_k4s(6))
+    code, payload, _ = _run_json(capsys, "minor-check", chain, "--f0")
     assert code == 1
     assert payload["f0_free"]
     # K3,3 with every edge subdivided twice: 24 vertices, reduces to K3,3
-    twice = _from_pairs([p for k, (u, v) in enumerate(complete_bipartite(3, 3).edges.values())
-                         for p in ((u, 6 + 2 * k), (6 + 2 * k, 7 + 2 * k), (7 + 2 * k, v))])
+    twice = subdivided(complete_bipartite(3, 3), 2)
     assert twice.n == 24
     code, payload, _ = _run_json(capsys, "minor-check", _graph_file(tmp_path, "s.txt", twice), "--f0")
     assert code == 0
@@ -337,12 +330,13 @@ def test_minor_check_f0_on_large_hosts_with_small_reduced_blocks(tmp_path, capsy
 
 
 def test_minor_check_f0_refuses_a_large_reduced_block(tmp_path):
-    # the 9-prism: cubic, 3-connected, 18 vertices, so it reduces to itself
-    prism9 = _from_pairs([(i, (i + 1) % 9) for i in range(9)]
-                         + [(9 + i, 9 + (i + 1) % 9) for i in range(9)]
-                         + [(i, 9 + i) for i in range(9)])
-    proc = _cli_process("minor-check", _graph_file(tmp_path, "p.txt", prism9), "--f0")
-    _assert_usage_error(proc, "minor search supports hosts with at most 16 vertices")
+    # cubic and 3-connected, so each prism reduces to itself; the 600-prism
+    # is deeper than Python's recursion limit
+    for k in (9, 600):
+        prism = _graph_file(tmp_path, f"p{k}.txt", cycle_prism(k))
+        for pattern in (("--f0",), ("--pattern", prism)):
+            proc = _cli_process("minor-check", prism, *pattern)
+            _assert_usage_error(proc, "minor search supports hosts with at most 16 vertices")
 
 
 def test_unreadable_graph_is_a_usage_error(tmp_path, capsys):

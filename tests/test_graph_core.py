@@ -222,6 +222,14 @@ def test_blocks():
     assert got == [[1, 2, 3], [4, 5, 6], [7]]
     lp = MultiGraph([0], {1: (0, 0)})
     assert blocks(lp) == [frozenset({1})]
+    # a path and a cycle deeper than Python's recursion limit
+    n = 5000
+    path = MultiGraph(range(n), {i + 1: (i, i + 1) for i in range(n - 1)})
+    got = blocks(path)
+    assert len(got) == n - 1
+    assert set(got) == {frozenset({e}) for e in path.edges}
+    cycle = MultiGraph(range(n), {**path.edges, n: (0, n - 1)})
+    assert blocks(cycle) == [frozenset(cycle.edges)]
 
 
 def test_triangle_dual_to_parallel_triple():

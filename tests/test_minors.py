@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -48,6 +47,7 @@ from fivesplit.named_graphs import (
 )
 from fivesplit.search import SearchConfig, build_catalog, enumerate_underlying
 from fivesplit.splitting import EnhancedGraph, plain
+from builders import chain_of_k4s, cycle_prism, subdivided
 from oracles import _has_minor_recursive
 
 
@@ -139,33 +139,6 @@ def _two_sum(g: MultiGraph, h: MultiGraph) -> MultiGraph:
     glued = _glued(g, MultiGraph(h.vertices, {i: uv for i, uv in h.edges.items() if i != f}),
                    {c: a, d: b})
     return MultiGraph(glued.vertices, {i: uv for i, uv in glued.edges.items() if i != e})
-
-
-def _subdivided(g: MultiGraph, times: int) -> MultiGraph:
-    """Every edge of g replaced by a path with `times` inner vertices."""
-    edges: dict[int, tuple[int, int]] = {}
-    first = nxt = max(g.vertices) + 1
-    for u, v in g.edges.values():
-        path = [u, *range(nxt, nxt + times), v]
-        nxt += times
-        for a, b in zip(path, path[1:]):
-            edges[len(edges) + 1] = (a, b)
-    return MultiGraph(g.vertices | set(range(first, nxt)), edges)
-
-
-def _chain_of_k4s(count: int) -> MultiGraph:
-    """K4 blocks in a row, block b on vertices 3b..3b+3."""
-    pairs = [(3 * b + x, 3 * b + y) for b in range(count)
-             for x, y in itertools.combinations(range(4), 2)]
-    return MultiGraph(range(3 * count + 1), {i + 1: uv for i, uv in enumerate(pairs)})
-
-
-def _nine_prism() -> MultiGraph:
-    """C9 x K2: cubic, 3-connected, 18 vertices."""
-    pairs = [(i, (i + 1) % 9) for i in range(9)]
-    pairs += [(9 + i, 9 + (i + 1) % 9) for i in range(9)]
-    pairs += [(i, 9 + i) for i in range(9)]
-    return MultiGraph(range(18), {i + 1: uv for i, uv in enumerate(pairs)})
 
 
 def _assert_routes_agree(host: MultiGraph, pattern: MultiGraph) -> bool:
@@ -263,14 +236,14 @@ def test_f0_graphs_survive_two_sums_and_subdivisions():
             s = _two_sum(p.graph, q.graph)
             assert _assert_routes_agree(s, p.graph)
             assert has_minor(s, q.graph)
-        once = _subdivided(p.graph, 1)
+        once = subdivided(p.graph, 1)
         assert has_minor(once, p)
         if once.n <= 16:
             assert _minor_search(once, p.graph, None)
 
 
 def test_large_hosts_with_small_reduced_blocks_get_answers():
-    chain = _chain_of_k4s(6)
+    chain = chain_of_k4s(6)
     assert chain.n == 19
     with pytest.raises(ValueError, match="at most 16 vertices"):
         _minor_search(chain, complete_graph(4), None)
@@ -278,7 +251,7 @@ def test_large_hosts_with_small_reduced_blocks_get_answers():
     assert not has_minor(chain, complete_graph(5))
     assert f0_free(chain)
     k33 = complete_bipartite(3, 3)
-    twice = _subdivided(k33, 2)
+    twice = subdivided(k33, 2)
     assert twice.n == 24
     assert has_minor(twice, k33)
     assert not has_minor(twice, complete_graph(5))
@@ -289,15 +262,18 @@ def test_large_reduced_blocks_are_refused_before_any_search(monkeypatch):
     monkeypatch.setattr(
         minors_module, "_minor_search", lambda *args: searched.append(args) or True
     )
-    prism9 = _nine_prism()
+    prism9 = cycle_prism(9)
     # a K3,3 block that would answer at once, hung on the prism by a cut vertex
     host = _glued(complete_bipartite(3, 3), prism9, {0: 0})
-    for g in (prism9, host):
-        for p in f0():
+    # the 600-prism, as host or as pattern, is deeper than Python's recursion limit
+    big = cycle_prism(600)
+    for g, patterns in ((prism9, f0()), (host, f0()), (big, [*f0(), big])):
+        for p in patterns:
             with pytest.raises(ValueError, match="at most 16 vertices"):
                 has_minor(g, p)
+    # a pattern larger than every block of the host is absent, as before
+    assert not has_minor(complete_graph(5), big)
     assert searched == []
-
 
 
 def _relabel(eg: EnhancedGraph, rng: random.Random) -> EnhancedGraph:
