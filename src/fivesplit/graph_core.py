@@ -197,75 +197,44 @@ def induced_subgraph(g: MultiGraph, vertex_subset: Iterable[int]) -> MultiGraph:
     )
 
 
-def _simple_adjacency(g: MultiGraph) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for a, b in g.edges.values():
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
-def _vertex_flow(adj: dict[int, set[int]], s: int, t: int, stop_at: int) -> int:
-    """Number of internally vertex-disjoint s-t paths, capped at stop_at.
-
-    Unit-capacity node splitting; augmenting paths by BFS.  Vertices of the
-    residual network are ('in', v) / ('out', v), with s and t uncollapsed.
-    """
-    cap: dict[tuple, dict[tuple, int]] = {}
-
-    def add(a: tuple, b: tuple, c: int) -> None:
-        cap.setdefault(a, {})[b] = cap.setdefault(a, {}).get(b, 0) + c
-        cap.setdefault(b, {}).setdefault(a, 0)
-
-    for v in adj:
-        if v not in (s, t):
-            add(("in", v), ("out", v), 1)
-    for a in adj:
-        for b in adj[a]:
-            pa = ("out", a) if a != s and a != t else ("v", a)
-            pb = ("in", b) if b != s and b != t else ("v", b)
-            add(pa, pb, 1)
-    src, dst = ("v", s), ("v", t)
-    flow = 0
-    while flow < stop_at:
-        prev: dict[tuple, tuple] = {src: src}
-        queue = [src]
-        while queue and dst not in prev:
-            x = queue.pop(0)
-            for y, c in cap.get(x, {}).items():
-                if c > 0 and y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        if dst not in prev:
-            break
-        y = dst
-        while y != src:
-            x = prev[y]
-            cap[x][y] -= 1
-            cap[y][x] += 1
-            y = x
-        flow += 1
-    return flow
-
-
 def is_k_connected(g: MultiGraph, k: int) -> bool:
-    """Vertex connectivity of the underlying simple graph is at least k."""
+    """Vertex connectivity of the underlying simple graph is at least k.
+
+    Decided from the separator definition: for k >= 1, G is k-connected when
+    it has at least k + 1 vertices and G - X is connected for every set X of
+    exactly k - 1 vertices.  Sets of size k - 1 suffice, because with
+    n >= k + 1 a smaller separator extends to one of size k - 1 that keeps a
+    vertex on each of two sides.  That is C(n, k - 1) searches over one
+    neighbour bitmask per vertex, so it is meant for small k.
+    """
     if k <= 0:
         return True
-    if g.n == 0:
+    n = g.n
+    if n < k + 1:
         return False
-    if not is_connected(g):
-        return False
-    adj = _simple_adjacency(g)
-    noncomplete = [
-        (u, v)
-        for u, v in itertools.combinations(sorted(g.vertices), 2)
-        if v not in adj[u]
-    ]
-    if not noncomplete:
-        return g.n - 1 >= k
-    return all(_vertex_flow(adj, u, v, k) >= k for u, v in noncomplete)
+    index = {v: i for i, v in enumerate(sorted(g.vertices))}
+    adj = [0] * n
+    for a, b in g.edges.values():
+        if a != b:
+            adj[index[a]] |= 1 << index[b]
+            adj[index[b]] |= 1 << index[a]
+    full = (1 << n) - 1
+    for cut in itertools.combinations(range(n), k - 1):
+        alive = full
+        for v in cut:
+            alive &= ~(1 << v)
+        seen = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & alive & ~seen
+            seen |= frontier
+        if seen != alive:
+            return False
+    return True
 
 
 def _int_det(mat: list[list[int]]) -> int:

@@ -26,7 +26,6 @@ intersection (`dodgson_vanishes`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -360,15 +359,3 @@ def five_invariant(
     term1 = dd({e1, e2}, {e3, e4}, {e5}) * dd({e1, e3, e5}, {e2, e4, e5}, set())
     term2 = dd({e1, e3}, {e2, e4}, {e5}) * dd({e1, e2, e5}, {e3, e4, e5}, set())
     return (term1 - term2).sign_normalised()
-
-
-def five_invariant_all_orderings_agree(
-    g: MultiGraph, config: Sequence[int], samples: int = 6
-) -> bool:
-    """Spot check helper: the 5-invariant over a few orderings, up to sign."""
-    es = sorted(set(config))
-    base = five_invariant(g, es)
-    for perm in itertools.islice(itertools.permutations(es), 1, samples):
-        if not five_invariant(g, list(perm)).equal_up_to_sign(base):
-            return False
-    return True

@@ -244,22 +244,3 @@ def caterpillar_width(m: RankOracle) -> int:
         g_val[((1 << n) - 1) & ~(1 << i)] for i in range(n)
     )
     return max(singleton_best, prefix_best)
-
-
-def rank_axioms_hold(m: RankOracle, samples: int = 1000, seed: int = 0) -> bool:
-    """Spot check: 0 <= r <= |S|, monotone, submodular on random subset pairs."""
-    import random
-
-    rng = random.Random(seed)
-    ground = sorted(m.ground)
-    for _ in range(samples):
-        a = frozenset(e for e in ground if rng.random() < 0.5)
-        b = frozenset(e for e in ground if rng.random() < 0.5)
-        ra, rb = m.rank(a), m.rank(b)
-        if not (0 <= ra <= len(a) and 0 <= rb <= len(b)):
-            return False
-        if a <= b and ra > rb:
-            return False
-        if m.rank(a | b) + m.rank(a & b) > ra + rb:
-            return False
-    return True

@@ -90,15 +90,37 @@ class SplitVerdict:
 
 
 class _Structure:
-    __slots__ = ("graph", "cuts1", "cuts2", "bad_memo", "derived")
+    """The pieces of every cut of order <= 2, as edge bitmasks.
+
+    Edge bit i stands for the i-th smallest edge id; cut and piece order are
+    those of `pieces` over the sorted vertices.
+    """
+
+    __slots__ = ("graph", "edge_ids", "bit", "cuts1", "cuts2", "bad_memo", "derived")
 
     def __init__(self, g: MultiGraph):
         self.graph = g
+        self.edge_ids = sorted(g.edges)
+        self.bit = {e: 1 << i for i, e in enumerate(self.edge_ids)}
         verts = sorted(g.vertices)
-        self.cuts1 = [pieces(g, ())] + [pieces(g, (v,)) for v in verts]
-        self.cuts2 = [pieces(g, x) for x in itertools.combinations(verts, 2)]
+        cuts = [(), *((v,) for v in verts)]
+        self.cuts1 = [self._masks(x) for x in cuts]
+        self.cuts2 = [self._masks(x) for x in itertools.combinations(verts, 2)]
         self.bad_memo: dict[frozenset[int], frozenset[int] | None] = {}
         self.derived: dict[tuple[str, int], MultiGraph] = {}
+
+    def _masks(self, cut: tuple[int, ...]) -> list[int]:
+        bit = self.bit
+        return [sum(bit[e] for e in p) for p in pieces(self.graph, cut)]
+
+    def edges_of(self, mask: int) -> frozenset[int]:
+        ids = self.edge_ids
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(ids[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
 
 _CACHE: dict[tuple, _Structure] = {}
@@ -120,36 +142,47 @@ def _bad_side(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:
     """A side of a bad separation for the configuration s in g, or None.
 
     Bad means: order <= 1 with s on both sides, or order <= 2 with exactly two
-    s-edges on one side and at least two on the other.
+    s-edges on one side and at least two on the other.  The side returned is
+    the first one met scanning cuts, then pieces, in `_Structure` order.
     """
     st = _structure(g)
     if s in st.bad_memo:
         return st.bad_memo[s]
-    side: frozenset[int] | None = None
+    bit = st.bit
+    sm = 0
+    for e in s:
+        sm |= bit[e]
+    side = 0
     t = len(s)
     if t >= 2:
+        # the pieces of a cut partition the edges, so s meets a second piece
+        # exactly when the first piece it meets misses part of s
         for ps in st.cuts1:
-            hit = [p for p in ps if p & s]
-            if len(hit) >= 2:
-                side = hit[0]
-                break
-    if side is None and t >= 4:
-        for ps in st.cuts2:
-            pair: list[frozenset[int]] = []
             for p in ps:
-                c = len(p & s)
+                if p & sm:
+                    if sm & ~p:
+                        side = p
+                    break
+            if side:
+                break
+    if not side and t >= 4:
+        for ps in st.cuts2:
+            single = 0
+            for p in ps:
+                c = (p & sm).bit_count()
                 if c == 2:
                     side = p
                     break
                 if c == 1:
-                    pair.append(p)
-                    if len(pair) == 2:
-                        side = pair[0] | pair[1]
+                    if single:
+                        side = single | p
                         break
-            if side is not None:
+                    single = p
+            if side:
                 break
-    st.bad_memo[s] = side
-    return side
+    found = st.edges_of(side) if side else None
+    st.bad_memo[s] = found
+    return found
 
 
 def _derived(g: MultiGraph, op: str, e: int) -> MultiGraph:

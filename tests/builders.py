@@ -1,8 +1,10 @@
-"""Graph families that several test files build as minor-search hosts."""
+"""Graphs, graph texts and catalog lines that several test files build."""
 
 from __future__ import annotations
 
 import itertools
+
+from hypothesis import strategies as st
 
 from fivesplit.graph_core import MultiGraph
 
@@ -32,3 +34,38 @@ def subdivided(g: MultiGraph, times: int) -> MultiGraph:
         for a, b in zip(path, path[1:]):
             edges[len(edges) + 1] = (a, b)
     return MultiGraph(g.vertices | set(range(first, nxt)), edges)
+
+
+# The one entry of `search-minimal --max-edges 6`: K4 with its witness and weight.
+K4_CATALOG_LINE = "4|0-1:-,0-2:cd,0-3:cd,1-2:cd,1-3:cd,2-3:cd|2,3,4,5,6|K4|16|0"
+
+
+_GRAPH_TOKENS = st.one_of(
+    st.sampled_from(["c:", "d:", "C:", "c", ":", ",", "#", "x", "1.5", "-", "\u0663", "\u00b2"]),
+    st.integers(min_value=-2, max_value=12).map(str),
+)
+
+
+@st.composite
+def _near_graph_text(draw):
+    """A header, edge lines and protection lines, each off by a little."""
+    small = st.integers(min_value=-1, max_value=6)
+    n = draw(small)
+    edges = draw(st.lists(st.tuples(small, small, small), max_size=5))
+    m = draw(st.sampled_from([len(edges), len(edges), draw(small)]))
+    lines = [f"{n} {m}", *(f"{e} {u} {v}" for e, u, v in edges)]
+    for tag, ids in draw(st.lists(st.tuples(st.sampled_from(["c", "d", "e"]),
+                                            st.lists(small, max_size=3)), max_size=2)):
+        lines.append(f"{tag}: " + ",".join(map(str, ids)))
+    return "\n".join(lines)
+
+
+# Input for the graph parsers: arbitrary text, lines of header-like numbers,
+# protection tags, comments and digits that int() or str.isdigit() treat
+# specially, near-valid text files, and short printable strings for graph6.
+FUZZ_GRAPH_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.lists(_GRAPH_TOKENS, max_size=4).map(" ".join), max_size=7).map("\n".join),
+    _near_graph_text(),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=130), max_size=24),
+)

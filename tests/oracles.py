@@ -6,7 +6,18 @@ own, so a test can compare the two.
 
 from __future__ import annotations
 
-from fivesplit.graph_core import MultiGraph, contract_edge, delete_edge, find_isomorphism
+import itertools
+from typing import Sequence
+
+from fivesplit.graph_core import (
+    MultiGraph,
+    contract_edge,
+    delete_edge,
+    find_isomorphism,
+    pieces,
+)
+from fivesplit.kirchhoff import five_invariant
+from fivesplit.matroid import RankOracle
 from fivesplit.minors import _simplified, canonical_form
 from fivesplit.splitting import EnhancedGraph
 
@@ -30,3 +41,69 @@ def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> b
             return True
     _seen.add(key)
     return False
+
+
+def bad_side_by_pieces(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:
+    """`splitting._bad_side` as a frozenset scan over the pieces of each cut.
+
+    The same cut order, piece order and break rules as the library's bitmask
+    kernel, with the pieces recomputed on every call and no memo.
+    """
+    verts = sorted(g.vertices)
+    cuts1 = [pieces(g, ())] + [pieces(g, (v,)) for v in verts]
+    cuts2 = [pieces(g, x) for x in itertools.combinations(verts, 2)]
+    side: frozenset[int] | None = None
+    t = len(s)
+    if t >= 2:
+        for ps in cuts1:
+            hit = [p for p in ps if p & s]
+            if len(hit) >= 2:
+                side = hit[0]
+                break
+    if side is None and t >= 4:
+        for ps in cuts2:
+            pair: list[frozenset[int]] = []
+            for p in ps:
+                c = len(p & s)
+                if c == 2:
+                    side = p
+                    break
+                if c == 1:
+                    pair.append(p)
+                    if len(pair) == 2:
+                        side = pair[0] | pair[1]
+                        break
+            if side is not None:
+                break
+    return side
+
+
+def five_invariant_all_orderings_agree(
+    g: MultiGraph, config: Sequence[int], samples: int = 6
+) -> bool:
+    """Spot check helper: the 5-invariant over a few orderings, up to sign."""
+    es = sorted(set(config))
+    base = five_invariant(g, es)
+    for perm in itertools.islice(itertools.permutations(es), 1, samples):
+        if not five_invariant(g, list(perm)).equal_up_to_sign(base):
+            return False
+    return True
+
+
+def rank_axioms_hold(m: RankOracle, samples: int = 1000, seed: int = 0) -> bool:
+    """Spot check: 0 <= r <= |S|, monotone, submodular on random subset pairs."""
+    import random
+
+    rng = random.Random(seed)
+    ground = sorted(m.ground)
+    for _ in range(samples):
+        a = frozenset(e for e in ground if rng.random() < 0.5)
+        b = frozenset(e for e in ground if rng.random() < 0.5)
+        ra, rb = m.rank(a), m.rank(b)
+        if not (0 <= ra <= len(a) and 0 <= rb <= len(b)):
+            return False
+        if a <= b and ra > rb:
+            return False
+        if m.rank(a | b) + m.rank(a & b) > ra + rb:
+            return False
+    return True

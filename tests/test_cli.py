@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fivesplit
 from fivesplit.cli import main
-from fivesplit.graph_core import render_graph_text
+from fivesplit.graph_core import load_graph, render_graph_text
 from fivesplit.kirchhoff import kirchhoff_poly
 from fivesplit.minors import parse_catalog
 from fivesplit.poly import parse_poly
@@ -24,7 +29,7 @@ from fivesplit.named_graphs import (
     triangle,
     wheel,
 )
-from builders import chain_of_k4s, cycle_prism, subdivided
+from builders import FUZZ_GRAPH_TEXT, K4_CATALOG_LINE, chain_of_k4s, cycle_prism, subdivided
 
 
 def _graph_file(tmp_path, name, g, c=(), d=()):
@@ -294,12 +299,8 @@ def test_malformed_catalog_mark_is_a_usage_error(tmp_path):
         _assert_usage_error(proc, "bad protection mark")
 
 
-# The one entry of `search-minimal --max-edges 6`: K4 with its witness and weight.
-_K4_ENTRY = "4|0-1:-,0-2:cd,0-3:cd,1-2:cd,1-3:cd,2-3:cd|2,3,4,5,6|K4|16|0"
-
-
 def test_inconsistent_catalog_entry_is_a_usage_error(tmp_path):
-    proc = _verify_catalog_process(tmp_path, _K4_ENTRY + "\n")
+    proc = _verify_catalog_process(tmp_path, K4_CATALOG_LINE + "\n")
     assert proc.returncode == 0
     assert proc.stdout == "catalog verified: no differences\n"
     damaged = [
@@ -311,7 +312,7 @@ def test_inconsistent_catalog_entry_is_a_usage_error(tmp_path):
         ("|16|0", "|16|-1", "catalog dual index"),
     ]
     for old, new, message in damaged:
-        proc = _verify_catalog_process(tmp_path, _K4_ENTRY.replace(old, new) + "\n")
+        proc = _verify_catalog_process(tmp_path, K4_CATALOG_LINE.replace(old, new) + "\n")
         _assert_usage_error(proc, message)
 
 
@@ -355,3 +356,25 @@ def test_argparse_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.binary(max_size=60), FUZZ_GRAPH_TEXT.map(
+    lambda text: text.encode("utf-8", "surrogatepass"))))
+def test_split_check_on_a_fuzzed_graph_file_is_a_usage_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(data)
+        try:
+            load_graph(path.read_text(encoding="utf-8"))
+        except ValueError:
+            pass
+        else:
+            assume(False)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["split-check", str(path)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error: ")

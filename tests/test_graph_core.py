@@ -7,6 +7,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fivesplit.graph_core import (
     MultiGraph,
@@ -43,6 +45,7 @@ from fivesplit.named_graphs import (
     triangle,
     wheel,
 )
+from builders import FUZZ_GRAPH_TEXT, cycle_prism
 
 
 def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:
@@ -151,6 +154,61 @@ def test_connectivity_helpers():
     assert not is_k_connected(cube(), 4)
     assert is_k_connected(complete_graph(5), 4)
     assert not is_k_connected(wheel(4), 4)
+
+
+def _nx_k_connected(g: MultiGraph, k: int) -> bool:
+    """The second route: networkx's vertex connectivity of the simple graph.
+
+    Graphs on at most one vertex are k-connected only for k <= 0, the
+    convention `is_k_connected` keeps; networkx has none of its own there.
+    """
+    if g.n <= 1:
+        return k <= 0
+    simple = nx.Graph()
+    simple.add_nodes_from(g.vertices)
+    simple.add_edges_from((u, v) for u, v in g.edges.values() if u != v)
+    return nx.node_connectivity(simple) >= k
+
+
+@st.composite
+def _kconn_multigraphs(draw, max_n=10):
+    """A multigraph on at most max_n vertices, loops, parallel edges and
+    isolated vertices allowed; dense ones start from K_n with edges dropped."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    ends: list[tuple[int, int]] = []
+    if n and draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2))
+        ends += [p for p, kept in zip(itertools.combinations(range(n), 2), keep) if kept]
+    if n:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        ends += draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+    return MultiGraph(range(n), {e: (min(u, v), max(u, v)) for e, (u, v) in enumerate(ends, 1)})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kconn_multigraphs(), st.integers(min_value=0, max_value=5))
+def test_is_k_connected_matches_networkx(g, k):
+    assert is_k_connected(g, k) == _nx_k_connected(g, k)
+
+
+def test_is_k_connected_on_tiny_graphs():
+    empty = MultiGraph([], {})
+    looped = MultiGraph([0], {1: (0, 0), 2: (0, 0)})
+    doubled = MultiGraph([0, 1], {1: (0, 1), 2: (0, 1), 3: (1, 1)})
+    for g, top in [(empty, 0), (looped, 0), (doubled, 1)]:
+        for k in range(-1, 4):
+            assert is_k_connected(g, k) == (k <= top), (g, k)
+            assert _nx_k_connected(g, k) == (k <= top), (g, k)
+
+
+def test_is_k_connected_on_a_large_prism():
+    prism = cycle_prism(120)
+    assert prism.n == 240
+    assert is_k_connected(prism, 3)
+    # without the rung at vertex 0, vertices 0 and 120 have degree 2
+    rung = next(e for e, uv in prism.edges.items() if uv == (0, 120))
+    assert not is_k_connected(delete_edge(prism, rung), 3)
 
 
 def test_pieces_partition_the_edges():
@@ -347,3 +405,13 @@ def test_load_graph_accepts_both_formats():
     g2, prot = load_graph(line)
     assert find_isomorphism(g2, complete_graph(4)) is not None
     assert prot["c"] == frozenset()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(FUZZ_GRAPH_TEXT)
+def test_graph_parsers_raise_only_value_error(text):
+    for parse in (parse_graph_text, load_graph, from_graph6):
+        try:
+            parse(text)
+        except ValueError:
+            pass

@@ -18,7 +18,6 @@ from fivesplit.kirchhoff import (
     dodgson_via_trees,
     default_convention,
     five_invariant,
-    five_invariant_all_orderings_agree,
     kirchhoff_poly,
     thirty_dodgsons,
     thirty_specs,
@@ -34,6 +33,7 @@ from fivesplit.named_graphs import (
 from fivesplit.poly import MultiPoly
 from fivesplit.search import enumerate_underlying
 from fivesplit.splitting import config_splits
+from oracles import five_invariant_all_orderings_agree
 
 
 def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:

@@ -23,7 +23,6 @@ from fivesplit.matroid import (
     common_tree_exists,
     matroid_intersection,
     matroid_sep_order,
-    rank_axioms_hold,
 )
 from fivesplit.named_graphs import (
     complete_graph,
@@ -33,6 +32,7 @@ from fivesplit.named_graphs import (
     triangle,
     wheel,
 )
+from oracles import rank_axioms_hold
 
 
 def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:

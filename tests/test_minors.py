@@ -47,7 +47,7 @@ from fivesplit.named_graphs import (
 )
 from fivesplit.search import SearchConfig, build_catalog, enumerate_underlying
 from fivesplit.splitting import EnhancedGraph, plain
-from builders import chain_of_k4s, cycle_prism, subdivided
+from builders import K4_CATALOG_LINE, chain_of_k4s, cycle_prism, subdivided
 from oracles import _has_minor_recursive
 
 
@@ -414,6 +414,25 @@ def test_catalog_rejects_damage():
         parse_catalog(text.replace("K4", "K4|extra"))
     with pytest.raises(ValueError):
         parse_catalog("garbage line\n")
+
+
+@st.composite
+def _damaged_catalogs(draw):
+    """The K4 catalog line with up to three fields replaced by short junk."""
+    fields = K4_CATALOG_LINE.split("|")
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+        fields[i] = draw(st.text(alphabet="0123456789-:,|cdx? ", max_size=6))
+    return "# schema 1\n" + "|".join(fields) + "\n"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=80), _damaged_catalogs()))
+def test_parse_catalog_raises_only_value_error(text):
+    try:
+        parse_catalog(text)
+    except ValueError:
+        pass
 
 
 def test_family_labels():

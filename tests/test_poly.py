@@ -135,3 +135,18 @@ def test_hash_consistent_with_eq():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet="x0123456789^*+- \t\u0663", max_size=30),
+    _polys().map(lambda p: p.render()).flatmap(
+        lambda text: st.integers(min_value=0, max_value=len(text)).map(
+            lambda cut: text[:cut] + "^" + text[cut:])),
+))
+def test_parse_poly_raises_only_value_error(text):
+    try:
+        parse_poly(text)
+    except ValueError:
+        pass

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import warnings
 
+import networkx as nx
 import pytest
 
 from fivesplit.graph_core import MultiGraph, find_isomorphism, is_k_connected
@@ -62,6 +63,7 @@ def test_census_members_are_three_connected_simple():
         for g in enumerate_underlying(m):
             assert g.m == m
             assert is_k_connected(g, 3)
+            assert nx.node_connectivity(nx.Graph(list(g.edges.values()))) >= 3
             assert all(u != v for u, v in g.edges.values())
             seen = set()
             for u, v in g.edges.values():

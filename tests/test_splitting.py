@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fivesplit
 
@@ -17,6 +19,7 @@ from fivesplit.graph_core import (
     MultiGraph,
     contract_edge,
     delete_edge,
+    enumerate_low_order_separations,
     is_connected,
 )
 from fivesplit.matroid import common_tree_exists
@@ -32,10 +35,11 @@ from fivesplit.named_graphs import (
     wheel_rim_edges,
     wheel_spoke_edges,
 )
-from fivesplit.search import _connected_census
+from fivesplit.search import _connected_census, enumerate_underlying
 from fivesplit.splitting import (
     EnhancedGraph,
     GADGETS,
+    _bad_side,
     association_roundtrip_ok,
     config_splits,
     from_enhanced,
@@ -44,6 +48,7 @@ from fivesplit.splitting import (
     to_enhanced,
     witness_holds,
 )
+from oracles import bad_side_by_pieces
 
 K33_WITNESS = frozenset({1, 2, 4, 5, 9})
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "catalog_max11.txt"
@@ -339,3 +344,48 @@ def test_to_enhanced_certificate_survives_optimised_python():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+def _has_bad_separation(g: MultiGraph, s: frozenset[int]) -> bool:
+    """The definition, read from the separations of order <= 2 themselves."""
+    for sep in enumerate_low_order_separations(g, 2):
+        ca, cb = len(sep.side_a & s), len(sep.side_b & s)
+        if sep.order <= 1 and ca and cb:
+            return True
+        if min(ca, cb) == 2 and max(ca, cb) >= 2:
+            return True
+    return False
+
+
+def test_bad_side_matches_frozenset_scan_on_census_hosts():
+    hosts = [g for m in range(6, 10) for g in enumerate_underlying(m)]
+    assert len(hosts) == 5
+    graphs = list(hosts)
+    for g in hosts:
+        for e in sorted(g.edges):
+            graphs += [delete_edge(g, e), contract_edge(g, e)]
+    for g in graphs:
+        for t in (3, 4, 5):
+            for combo in itertools.combinations(sorted(g.edges), t):
+                s = frozenset(combo)
+                assert _bad_side(g, s) == bad_side_by_pieces(g, s), (g.edges, s)
+
+
+@st.composite
+def _configured_multigraphs(draw):
+    """A multigraph with loops and parallel edges, and 2 to 5 of its edges."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=2, max_size=10))
+    g = MultiGraph(range(n), {e: (min(u, v), max(u, v)) for e, (u, v) in enumerate(ends, 1)})
+    size = draw(st.integers(min_value=2, max_value=min(5, g.m)))
+    return g, frozenset(draw(st.permutations(sorted(g.edges)))[:size])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_configured_multigraphs())
+def test_bad_side_matches_frozenset_scan_and_definition(case):
+    g, s = case
+    side = _bad_side(g, s)
+    assert side == bad_side_by_pieces(g, s)
+    assert (side is not None) == _has_bad_separation(g, s)
