@@ -26,7 +26,7 @@ class MultiGraph:
     edges: dict edge_id -> (u, v) with u <= v; loops have u == v.
     """
 
-    __slots__ = ("vertices", "edges", "_key")
+    __slots__ = ("vertices", "edges", "_key", "_hash")
 
     def __init__(self, vertices: Iterable[int], edges: Mapping[int, tuple[int, int]]):
         vs = frozenset(vertices)
@@ -38,6 +38,7 @@ class MultiGraph:
         self.vertices = vs
         self.edges = es
         self._key: tuple | None = None
+        self._hash: int | None = None
 
     @property
     def n(self) -> int:
@@ -80,7 +81,9 @@ class MultiGraph:
         return isinstance(other, MultiGraph) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
@@ -223,18 +226,26 @@ def is_k_connected(g: MultiGraph, k: int) -> bool:
         alive = full
         for v in cut:
             alive &= ~(1 << v)
-        seen = frontier = alive & -alive
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & alive & ~seen
-            seen |= frontier
-        if seen != alive:
+        if _component_mask(adj, alive) != alive:
             return False
     return True
+
+
+def _component_mask(adj: list[int], alive: int) -> int:
+    """The component of the lowest vertex of `alive` in the graph it induces.
+
+    Vertices are bits; adj[i] is the neighbour bitmask of vertex i.
+    """
+    seen = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen
 
 
 def _int_det(mat: list[list[int]]) -> int:
@@ -523,6 +534,18 @@ def find_isomorphism(g: MultiGraph, h: MultiGraph) -> dict[int, int] | None:
 # -- text and graph6 input/output -------------------------------------------
 
 
+# The parsers build a vertex set as large as the count they read, so a larger
+# count is refused before anything is built.
+_MAX_PARSED_VERTICES = 100_000
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > _MAX_PARSED_VERTICES:
+        raise ValueError(
+            f"vertex count {n} exceeds the limit of {_MAX_PARSED_VERTICES} vertices"
+        )
+
+
 def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, EdgeSubset]]:
     """Parse the plain text format.
 
@@ -543,6 +566,7 @@ def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, EdgeSubset]]:
     n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise ValueError("negative sizes in header")
+    _check_vertex_count(n)
     edges: dict[int, tuple[int, int]] = {}
     prot: dict[str, set[int]] = {"c": set(), "d": set()}
     body = lines[1:]

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Mapping
 from . import named_graphs as ng
 from .graph_core import (
     MultiGraph,
+    _check_vertex_count,
     blocks,
     contract_edge,
     delete_edge,
@@ -231,22 +232,37 @@ def _reduced(g: MultiGraph) -> MultiGraph:
     return MultiGraph(adj, {i + 1: uv for i, uv in enumerate(pairs)})
 
 
+def _blocks_as_graphs(g: MultiGraph, min_n: int, min_m: int) -> list[MultiGraph]:
+    """The blocks of g with at least min_n vertices and min_m edges, as graphs."""
+    out = []
+    for part in blocks(g):
+        if len(part) >= min_m:
+            sub = MultiGraph(edge_vertices(g, part), {e: g.edges[e] for e in part})
+            if sub.n >= min_n:
+                out.append(sub)
+    return out
+
+
 def _reduced_blocks(g: MultiGraph, min_n: int, min_m: int) -> list[MultiGraph]:
     """The blocks of the reduction of g, each reduced again, down to a fixed point.
 
     Blocks with fewer than min_n vertices or min_m edges are skipped.
     """
     r = _reduced(g)
-    parts = blocks(r)
-    if len(parts) <= 1:
-        return [r] if r.n >= min_n and r.m >= min_m else []
-    out: list[MultiGraph] = []
-    for part in parts:
-        if len(part) >= min_m:
-            sub = MultiGraph(edge_vertices(r, part), {e: r.edges[e] for e in part})
-            if sub.n >= min_n:
-                out.extend(_reduced_blocks(sub, min_n, min_m))
-    return out
+    parts = _blocks_as_graphs(r, min_n, min_m)
+    if len(parts) == 1 and parts[0].m == r.m:
+        return parts
+    return [h for part in parts for h in _reduced_blocks(part, min_n, min_m)]
+
+
+def _one_block(pattern: MultiGraph) -> bool:
+    """Is the loopless pattern one block with no isolated vertex?
+
+    That is a 2-connected graph, a single edge, or parallel edges on two vertices.
+    """
+    return pattern.m > 0 and len(blocks(pattern)) == 1 and all(
+        pattern.degree(v) for v in pattern.vertices
+    )
 
 
 def _reduces_exactly(pattern: MultiGraph) -> bool:
@@ -254,16 +270,18 @@ def _reduces_exactly(pattern: MultiGraph) -> bool:
     return (
         len(set(pattern.edges.values())) == pattern.m
         and all(pattern.degree(v) >= 3 for v in pattern.vertices)
-        and len(blocks(pattern)) == 1
+        and _one_block(pattern)
     )
 
 
 def has_minor(host: MultiGraph, pattern: MultiGraph | MinorPattern) -> bool:
     """Branch-set minor containment; reflexive on isomorphic graphs.
 
-    A pattern H that is simple and 2-connected with minimum degree >= 3 (every
-    F0 graph is) is searched for in the reduced blocks of the host instead of
-    the host itself, which gives the same answer:
+    A pattern H that is one block (2-connected, or an edge, or a multiple
+    edge) with no isolated vertex has every model inside one block of the
+    host, so only the host's blocks with at least as many vertices and edges
+    as H are searched.  When H is also simple with minimum degree >= 3 (every
+    F0 graph is), those blocks are reduced first, which gives the same answer:
 
     - H is simple, so loops and parallel copies in the host are never needed;
     - H has minimum degree >= 3, so no branch set is a single vertex of degree
@@ -271,19 +289,21 @@ def has_minor(host: MultiGraph, pattern: MultiGraph | MinorPattern) -> bool:
       can be deleted;
     - a degree-2 vertex v with neighbours a, b then shares a branch set with a
       (say) and at most links that set to b, which the edge ab does as well;
-      contracting va gives ab, so the reduced host is a minor of the host;
-    - H is 2-connected, so a model of H lies inside one block of the host.
+      contracting va gives ab, so the reduced host is a minor of the host.
 
-    The 16-vertex host limit applies to the reduced blocks large enough to
-    hold H, and is checked for all of them before any search.  Other patterns
-    are searched for in the host as it is.
+    The 16-vertex host limit applies to the blocks that are searched, and is
+    checked for all of them before any search.  Other patterns are searched
+    for in the host as it is.
     """
     pg = pattern.graph if isinstance(pattern, MinorPattern) else pattern
     if any(u == v for u, v in pg.edges.values()):
         raise ValueError("patterns must be loopless")
-    if not _reduces_exactly(pg):
+    if _reduces_exactly(pg):
+        hosts = _reduced_blocks(host, pg.n, pg.m)
+    elif _one_block(pg):
+        hosts = _blocks_as_graphs(host, pg.n, pg.m)
+    else:
         return _minor_search(host, pg, None)
-    hosts = _reduced_blocks(host, pg.n, pg.m)
     for h in hosts:
         _check_host_size(h)
     return any(_minor_search(h, pg, None) for h in hosts)
@@ -576,6 +596,7 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
         if len(fields) != 6:
             raise ValueError(f"malformed catalog line: {line!r}")
         n = int(fields[0])
+        _check_vertex_count(n)
         edges: dict[int, tuple[int, int]] = {}
         c_set: set[int] = set()
         d_set: set[int] = set()

@@ -124,6 +124,14 @@ def _three_connected_census(m: int) -> list[MultiGraph]:
     grown in lexicographic order.  Pruning: per-vertex degree cap, total
     deficiency vs edges left, and the prefix freeze (pairs are sorted, so once
     the scan passes a vertex's last pair its degree is final and must be >= 3).
+
+    Only labellings whose degrees do not increase with the label are grown.
+    Every graph has one (sort its vertices by degree, highest first), so every
+    isomorphism class is still met; each kept class is relabelled canonically,
+    so which member is met first does not show.  When the freeze passes vertex
+    u its degree is final, so the branch stops if deg[u] > deg[u - 1]; and a
+    pair (u, v) is skipped when deg[u] already equals deg[u - 1], because every
+    vertex below u is frozen by then.  The leaf checks the whole order again.
     """
     out: list[MultiGraph] = []
     dedupe = _IsoDedupe()
@@ -139,7 +147,7 @@ def _three_connected_census(m: int) -> list[MultiGraph]:
         def rec(start: int) -> None:
             k = len(chosen)
             if k == m:
-                if min(deg) >= 3:
+                if min(deg) >= 3 and all(a >= b for a, b in zip(deg, deg[1:])):
                     g = MultiGraph(range(n), {i + 1: p for i, p in enumerate(chosen)})
                     if is_k_connected(g, 3) and dedupe.add(g):
                         out.append(_canonical_rep(g))
@@ -152,10 +160,10 @@ def _three_connected_census(m: int) -> list[MultiGraph]:
             for i in range(start, total):
                 u, v = pairs[i]
                 while frozen < u:
-                    if deg[frozen] < 3:
+                    if deg[frozen] < 3 or (frozen and deg[frozen] > deg[frozen - 1]):
                         return
                     frozen += 1
-                if deg[u] >= cap or deg[v] >= cap:
+                if deg[u] >= cap or deg[v] >= cap or (u and deg[u] == deg[u - 1]):
                     continue
                 deg[u] += 1
                 deg[v] += 1

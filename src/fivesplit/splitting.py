@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graph_core import (
     EdgeSubset,
     MultiGraph,
+    _component_mask,
     blocks,
     boundary,
     connected_components,
@@ -36,7 +37,6 @@ from .graph_core import (
     enumerate_low_order_separations,
     is_connected,
     is_k_connected,
-    pieces,
 )
 
 
@@ -90,10 +90,15 @@ class SplitVerdict:
 
 
 class _Structure:
-    """The pieces of every cut of order <= 2, as edge bitmasks.
+    """The pieces of the cuts of order <= 2 that can give a bad side, as edge bitmasks.
 
-    Edge bit i stands for the i-th smallest edge id; cut and piece order are
-    those of `pieces` over the sorted vertices.
+    Edge bit i stands for the i-th smallest edge id.  Cuts are (), each vertex,
+    then each vertex pair, over the sorted vertices, and pieces come in the
+    order of `graph_core.pieces`.  A cut is kept only when it can give a side
+    in `_bad_side`: a cut of order <= 1 needs an edge outside its largest
+    piece, since s must meet two pieces; a cut of order 2, scanned only for
+    |s| >= 4, needs two, since otherwise the largest piece holds at least three
+    edges of s and at most one other piece holds one.
     """
 
     __slots__ = ("graph", "edge_ids", "bit", "cuts1", "cuts2", "bad_memo", "derived")
@@ -102,16 +107,17 @@ class _Structure:
         self.graph = g
         self.edge_ids = sorted(g.edges)
         self.bit = {e: 1 << i for i, e in enumerate(self.edge_ids)}
+        masks = _piece_masks(g, self.bit)
         verts = sorted(g.vertices)
-        cuts = [(), *((v,) for v in verts)]
-        self.cuts1 = [self._masks(x) for x in cuts]
-        self.cuts2 = [self._masks(x) for x in itertools.combinations(verts, 2)]
+        m = g.m
+        self.cuts1 = [
+            ps for x in [(), *((v,) for v in verts)] if _spare(ps := masks(x), m) >= 1
+        ]
+        self.cuts2 = [
+            ps for x in itertools.combinations(verts, 2) if _spare(ps := masks(x), m) >= 2
+        ]
         self.bad_memo: dict[frozenset[int], frozenset[int] | None] = {}
         self.derived: dict[tuple[str, int], MultiGraph] = {}
-
-    def _masks(self, cut: tuple[int, ...]) -> list[int]:
-        bit = self.bit
-        return [sum(bit[e] for e in p) for p in pieces(self.graph, cut)]
 
     def edges_of(self, mask: int) -> frozenset[int]:
         ids = self.edge_ids
@@ -123,18 +129,74 @@ class _Structure:
         return frozenset(out)
 
 
-_CACHE: dict[tuple, _Structure] = {}
+def _spare(ps: list[int], m: int) -> int:
+    """Edges outside the largest piece."""
+    return m - max((p.bit_count() for p in ps), default=0)
+
+
+def _piece_masks(g: MultiGraph, bit: dict[int, int]) -> Callable[[tuple[int, ...]], list[int]]:
+    """A function from a vertex cut X to the edge masks of `pieces(g, X)`, in its order.
+
+    That order is one piece per edge with both ends in X, by edge id, then one
+    per component of g - X that has an edge, by least vertex.  Components grow
+    over per-vertex neighbour bitmasks, as in `is_k_connected`, and a piece is
+    the union of its vertices' incident-edge masks.
+    """
+    index = {v: i for i, v in enumerate(sorted(g.vertices))}
+    n = len(index)
+    nbr = [0] * n
+    inc = [0] * n
+    loops = [0] * n
+    for e, (a, b) in g.edges.items():
+        ia, ib = index[a], index[b]
+        if ia == ib:
+            loops[ia] |= bit[e]
+        else:
+            nbr[ia] |= 1 << ib
+            nbr[ib] |= 1 << ia
+        inc[ia] |= bit[e]
+        inc[ib] |= bit[e]
+
+    def masks(cut: tuple[int, ...]) -> list[int]:
+        x = [index[v] for v in cut]
+        inner = 0
+        alive = (1 << n) - 1
+        for i in x:
+            inner |= loops[i]
+            alive &= ~(1 << i)
+        if len(x) == 2:
+            inner |= inc[x[0]] & inc[x[1]]
+        out = []
+        while inner:
+            low = inner & -inner
+            out.append(low)
+            inner ^= low
+        while alive:
+            seen = _component_mask(nbr, alive)
+            alive &= ~seen
+            piece = 0
+            while seen:
+                low = seen & -seen
+                piece |= inc[low.bit_length() - 1]
+                seen ^= low
+            if piece:
+                out.append(piece)
+        return out
+
+    return masks
+
+
+_CACHE: dict[MultiGraph, _Structure] = {}
 _CACHE_CAP = 60000
 
 
 def _structure(g: MultiGraph) -> _Structure:
-    key = g.key()
-    st = _CACHE.get(key)
+    st = _CACHE.get(g)
     if st is None:
         if len(_CACHE) >= _CACHE_CAP:
             _CACHE.clear()
         st = _Structure(g)
-        _CACHE[key] = st
+        _CACHE[g] = st
     return st
 
 

@@ -14,11 +14,13 @@ from fivesplit.graph_core import (
     contract_edge,
     delete_edge,
     find_isomorphism,
+    is_k_connected,
     pieces,
 )
 from fivesplit.kirchhoff import five_invariant
 from fivesplit.matroid import RankOracle
 from fivesplit.minors import _simplified, canonical_form
+from fivesplit.search import _canonical_rep, _IsoDedupe
 from fivesplit.splitting import EnhancedGraph
 
 
@@ -41,6 +43,60 @@ def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> b
             return True
     _seen.add(key)
     return False
+
+
+# `search._three_connected_census` without its degree-order pruning: it grows
+# every labelling of each class, so it checks that the pruning loses none.
+def _three_connected_census(m: int) -> list[MultiGraph]:
+    """Simple 3-connected graphs with exactly m edges, one per isomorphism class.
+
+    Min degree 3 forces 2m >= 3n, so n <= 2m/3; subsets of vertex pairs are
+    grown in lexicographic order.  Pruning: per-vertex degree cap, total
+    deficiency vs edges left, and the prefix freeze (pairs are sorted, so once
+    the scan passes a vertex's last pair its degree is final and must be >= 3).
+    """
+    out: list[MultiGraph] = []
+    dedupe = _IsoDedupe()
+    for n in range(4, 2 * m // 3 + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        total = len(pairs)
+        if m > total:
+            continue
+        cap = 3 + max(0, 2 * m - 3 * n)
+        deg = [0] * n
+        chosen: list[tuple[int, int]] = []
+
+        def rec(start: int) -> None:
+            k = len(chosen)
+            if k == m:
+                if min(deg) >= 3:
+                    g = MultiGraph(range(n), {i + 1: p for i, p in enumerate(chosen)})
+                    if is_k_connected(g, 3) and dedupe.add(g):
+                        out.append(_canonical_rep(g))
+                return
+            if total - start < m - k:
+                return
+            if sum(3 - d for d in deg if d < 3) > 2 * (m - k):
+                return
+            frozen = 0
+            for i in range(start, total):
+                u, v = pairs[i]
+                while frozen < u:
+                    if deg[frozen] < 3:
+                        return
+                    frozen += 1
+                if deg[u] >= cap or deg[v] >= cap:
+                    continue
+                deg[u] += 1
+                deg[v] += 1
+                chosen.append(pairs[i])
+                rec(i + 1)
+                chosen.pop()
+                deg[u] -= 1
+                deg[v] -= 1
+
+        rec(0)
+    return out
 
 
 def bad_side_by_pieces(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:

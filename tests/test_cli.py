@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fivesplit
-from fivesplit.cli import main
-from fivesplit.graph_core import load_graph, render_graph_text
+from fivesplit.cli import _CliError, _edge_list, main
+from fivesplit.graph_core import _MAX_PARSED_VERTICES, load_graph, render_graph_text
 from fivesplit.kirchhoff import kirchhoff_poly
 from fivesplit.minors import parse_catalog
 from fivesplit.poly import parse_poly
@@ -25,6 +26,7 @@ from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
     cube,
+    cycle_graph,
     path_graph,
     triangle,
     wheel,
@@ -269,13 +271,19 @@ def test_verify_catalog_command(tmp_path, capsys):
     assert len(payload["unexpected"]) == 2
 
 
-def _cli_process(*argv):
+def _cli_process(*argv, max_memory=None):
+    """Run the CLI in a fresh interpreter; max_memory caps its address space in bytes."""
     env = dict(os.environ)
     src = str(Path(fivesplit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
+
     return subprocess.run(
         [sys.executable, "-m", "fivesplit.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=None if max_memory is None else limit,
     )
 
 
@@ -330,6 +338,14 @@ def test_minor_check_f0_on_large_hosts_with_small_reduced_blocks(tmp_path, capsy
     assert payload["patterns"] == {"K3,3": True, "K5": False, "C": False, "H": False, "O": False}
 
 
+def test_minor_check_finds_a_cycle_in_a_block_of_a_large_host(tmp_path, capsys):
+    chain = _graph_file(tmp_path, "c.txt", chain_of_k4s(6))
+    c4 = _graph_file(tmp_path, "c4.txt", cycle_graph(4))
+    code, payload, _ = _run_json(capsys, "minor-check", chain, "--pattern", c4)
+    assert code == 0
+    assert payload["has_minor"]
+
+
 def test_minor_check_f0_refuses_a_large_reduced_block(tmp_path):
     # cubic and 3-connected, so each prism reduces to itself; the 600-prism
     # is deeper than Python's recursion limit
@@ -378,3 +394,47 @@ def test_split_check_on_a_fuzzed_graph_file_is_a_usage_error(data):
     assert out.getvalue() == ""
     assert len(err.getvalue().splitlines()) == 1
     assert err.getvalue().startswith("error: ")
+
+
+def test_vertex_counts_above_the_cap_are_usage_errors(tmp_path):
+    graph, golden = tmp_path / "g.txt", tmp_path / "golden.txt"
+    for n in (_MAX_PARSED_VERTICES + 1, 999_999_999):
+        graph.write_text(f"{n} 0\n", encoding="utf-8")
+        golden.write_text(K4_CATALOG_LINE.replace("4|", f"{n}|", 1) + "\n", encoding="utf-8")
+        # without the cap a nine-digit count would fill the machine's memory;
+        # the address-space limit turns that into a MemoryError instead
+        for argv in (("split-check", str(graph)),
+                     ("verify-catalog", "--golden", str(golden), "--max-edges", "6")):
+            proc = _cli_process(*argv, max_memory=1 << 30)
+            _assert_usage_error(proc, f"vertex count {n} exceeds the limit")
+
+
+_EDGE_LIST_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="0123456789,-+_ \t\n\u0663\u00b2", max_size=30),
+    st.lists(st.integers(min_value=-3, max_value=9).map(str), max_size=6).map(",".join),
+    st.integers(min_value=4300, max_value=4400).map(lambda k: "9" * k),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_EDGE_LIST_TEXT)
+def test_edge_lists_fail_only_as_usage_errors(text):
+    try:
+        ids = _edge_list(text)
+    except _CliError:
+        parsed = False
+    else:
+        assert all(isinstance(e, int) for e in ids)
+        parsed = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _graph_file(Path(tmp), "t.txt", triangle())
+        out, err = io.StringIO(), io.StringIO()
+        # --i=TEXT, so that argparse takes a leading "-" as the value
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["dodgson", path, f"--i={text}", "--j", "1"])
+    assert code == 2 or (parsed and code == 0)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")

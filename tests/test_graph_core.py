@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivesplit.graph_core import (
+    _MAX_PARSED_VERTICES,
     MultiGraph,
     blocks,
     boundary,
@@ -415,3 +417,15 @@ def test_graph_parsers_raise_only_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+def test_parsers_refuse_vertex_counts_above_the_cap():
+    g, _ = parse_graph_text(f"{_MAX_PARSED_VERTICES} 0")
+    assert g.n == _MAX_PARSED_VERTICES
+    start = time.perf_counter()
+    # cap + 1 first: if it parsed, the nine-digit count would fill the memory
+    for n in (_MAX_PARSED_VERTICES + 1, 999_999_999):
+        for parse in (parse_graph_text, load_graph):
+            with pytest.raises(ValueError, match=f"vertex count {n} exceeds the limit"):
+                parse(f"{n} 0\n")
+    assert time.perf_counter() - start < 1.0

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fivesplit.minors as minors_module
-from fivesplit.graph_core import MultiGraph, find_isomorphism
+from fivesplit.graph_core import _MAX_PARSED_VERTICES, MultiGraph, find_isomorphism
 from fivesplit.minors import (
     CatalogEntry,
     MinorPattern,
@@ -276,6 +277,56 @@ def test_large_reduced_blocks_are_refused_before_any_search(monkeypatch):
     assert searched == []
 
 
+_THETA = MultiGraph(range(5), {1: (0, 2), 2: (2, 1), 3: (0, 3), 4: (3, 1), 5: (0, 4), 6: (4, 1)})
+_ONE_BLOCK_PATTERNS = [path_graph(1), _DOUBLE_EDGE, cycle_graph(3), cycle_graph(4),
+                       cycle_graph(5), _THETA, MultiGraph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1)})]
+
+
+def test_one_block_patterns_are_found_in_the_blocks_of_large_hosts():
+    chain = chain_of_k4s(6)
+    assert chain.n == 19
+    for pattern, found in ((cycle_graph(4), True), (_DOUBLE_EDGE, True),
+                           (cycle_graph(5), False), (_THETA, False)):
+        assert not _reduces_exactly(pattern)
+        assert has_minor(chain, pattern) == found
+        for count in (1, 2):
+            small = chain_of_k4s(count)
+            assert has_minor(small, pattern) == _minor_search(small, pattern, None) == found
+            if len(set(pattern.edges.values())) == pattern.m:
+                assert _has_minor_recursive(small, pattern) == found
+    # a pendant edge, a second component or an isolated vertex keeps the
+    # whole-host search and its limit
+    for pattern in (_K4_PENDANT, _glued(cycle_graph(4), path_graph(1), {}),
+                    MultiGraph(range(5), cycle_graph(4).edges)):
+        with pytest.raises(ValueError, match="at most 16 vertices"):
+            has_minor(chain, pattern)
+
+
+def test_one_block_patterns_check_the_limit_on_blocks_before_any_search(monkeypatch):
+    searched = []
+    monkeypatch.setattr(
+        minors_module, "_minor_search", lambda *args: searched.append(args) or True
+    )
+    # a K4 block would answer at once, but the 9-prism block is too large
+    host = _glued(complete_graph(4), cycle_prism(9), {0: 0})
+    for pattern in (cycle_graph(4), _DOUBLE_EDGE):
+        with pytest.raises(ValueError, match="at most 16 vertices"):
+            has_minor(host, pattern)
+    assert searched == []
+    # a triangle with a 20-edge tail: the bridges are smaller than the
+    # pattern, so only the triangle is searched
+    tail = _glued(cycle_graph(3), path_graph(20), {0: 0})
+    assert tail.n == 23
+    assert has_minor(tail, cycle_graph(3))
+    assert [args[0].n for args in searched] == [3]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_messy_hosts(), st.sampled_from(_ONE_BLOCK_PATTERNS))
+def test_one_block_patterns_agree_on_messy_multigraphs(host, pattern):
+    _assert_routes_agree(host, pattern)
+
+
 def _relabel(eg: EnhancedGraph, rng: random.Random) -> EnhancedGraph:
     g = eg.graph
     vperm = dict(zip(sorted(g.vertices), rng.sample(sorted(g.vertices), g.n)))
@@ -433,6 +484,17 @@ def test_parse_catalog_raises_only_value_error(text):
         parse_catalog(text)
     except ValueError:
         pass
+
+
+def test_parse_catalog_refuses_vertex_counts_above_the_cap():
+    (entry,) = parse_catalog(K4_CATALOG_LINE.replace("4|", f"{_MAX_PARSED_VERTICES}|", 1))
+    assert entry.enhanced.graph.n == _MAX_PARSED_VERTICES
+    start = time.perf_counter()
+    # cap + 1 first: if it parsed, the nine-digit count would fill the memory
+    for n in (_MAX_PARSED_VERTICES + 1, 999_999_999):
+        with pytest.raises(ValueError, match=f"vertex count {n} exceeds the limit"):
+            parse_catalog(K4_CATALOG_LINE.replace("4|", f"{n}|", 1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_family_labels():

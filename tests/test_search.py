@@ -8,6 +8,7 @@ import warnings
 import networkx as nx
 import pytest
 
+import fivesplit.search as search_module
 from fivesplit.graph_core import MultiGraph, find_isomorphism, is_k_connected
 from fivesplit.minors import canonical_form, enhanced_children, parse_catalog, render_catalog
 from fivesplit.named_graphs import (
@@ -27,6 +28,7 @@ from fivesplit.search import (
     verify_catalog,
 )
 from fivesplit.splitting import EnhancedGraph, config_splits, graph_splits
+from oracles import _three_connected_census as unpruned_census
 
 
 def test_config_validation():
@@ -96,6 +98,29 @@ def test_census_matches_brute_force_on_six_vertices(m):
     expect = len(_brute_force_k6_census(m))
     got = sum(1 for g in enumerate_underlying(m) if g.n == 6)
     assert got == expect
+
+
+@pytest.mark.parametrize("m", range(6, 12))
+def test_degree_ordered_census_matches_the_unpruned_census(m):
+    old, new = unpruned_census(m), enumerate_underlying(m)
+    assert [g.key() for g in new] == [g.key() for g in old]
+    assert [canonical_form(EnhancedGraph(g)) for g in new] == [
+        canonical_form(EnhancedGraph(g)) for g in old
+    ]
+
+
+def test_census_tests_only_degree_ordered_labellings(monkeypatch):
+    seen = []
+
+    def recording(g, k):
+        seen.append([g.degree(v) for v in sorted(g.vertices)])
+        return is_k_connected(g, k)
+
+    monkeypatch.setattr(search_module, "is_k_connected", recording)
+    for m in (9, 10):
+        assert len(search_module._three_connected_census(m)) == len(enumerate_underlying(m))
+    assert seen
+    assert all(degs == sorted(degs, reverse=True) for degs in seen)
 
 
 def test_unrestricted_census_contains_lower_connectivity():

@@ -21,6 +21,7 @@ from fivesplit.graph_core import (
     delete_edge,
     enumerate_low_order_separations,
     is_connected,
+    pieces,
 )
 from fivesplit.matroid import common_tree_exists
 from fivesplit.minors import canonical_form, parse_catalog
@@ -39,7 +40,9 @@ from fivesplit.search import _connected_census, enumerate_underlying
 from fivesplit.splitting import (
     EnhancedGraph,
     GADGETS,
+    _Structure,
     _bad_side,
+    _piece_masks,
     association_roundtrip_ok,
     config_splits,
     from_enhanced,
@@ -389,3 +392,79 @@ def test_bad_side_matches_frozenset_scan_and_definition(case):
     side = _bad_side(g, s)
     assert side == bad_side_by_pieces(g, s)
     assert (side is not None) == _has_bad_separation(g, s)
+
+
+# -- the cut tables of `_Structure` ----------------------------------------------
+
+
+@st.composite
+def _scattered_multigraphs(draw):
+    """A multigraph with loops, parallel edges, isolated vertices, and vertex
+    labels and edge ids with gaps."""
+    labels = sorted(draw(st.sets(st.integers(min_value=0, max_value=30), max_size=7)))
+    if not labels:
+        return MultiGraph([], {})
+    vertex = st.sampled_from(labels)
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=9))
+    ids = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=len(ends),
+                        max_size=len(ends), unique=True))
+    return MultiGraph(labels, dict(zip(ids, ends)))
+
+
+def _cuts(g: MultiGraph) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    verts = sorted(g.vertices)
+    return [(), *((v,) for v in verts)], list(itertools.combinations(verts, 2))
+
+
+def _cut_gives_a_side(ps: list[int], m: int, order2: bool) -> bool:
+    """Does some configuration of 2 to 5 edges give a side on this one cut, by
+    the rules of `_bad_side`?  Order-2 cuts are scanned only for 4 or more."""
+    for t in range(4 if order2 else 2, 6):
+        for combo in itertools.combinations(range(m), t):
+            sm = sum(1 << i for i in combo)
+            counts = [(p & sm).bit_count() for p in ps]
+            if order2 and (2 in counts or counts.count(1) >= 2):
+                return True
+            if not order2 and sum(c > 0 for c in counts) >= 2:
+                return True
+    return False
+
+
+def _assert_cut_tables_exact(g: MultiGraph) -> None:
+    """`_Structure` keeps, in scan order, exactly the cuts that can give a side."""
+    st_ = _Structure(g)
+    masks = _piece_masks(g, st_.bit)
+    cuts1, cuts2 = _cuts(g)
+    assert st_.cuts1 == [masks(x) for x in cuts1 if _cut_gives_a_side(masks(x), g.m, False)]
+    kept2 = [masks(x) for x in cuts2 if _cut_gives_a_side(masks(x), g.m, True)]
+    if g.m >= 4:
+        assert st_.cuts2 == kept2
+    else:
+        assert kept2 == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_scattered_multigraphs())
+def test_bitmask_pieces_equal_graph_core_pieces(g):
+    st_ = _Structure(g)
+    masks = _piece_masks(g, st_.bit)
+    cuts1, cuts2 = _cuts(g)
+    for x in cuts1 + cuts2:
+        assert [st_.edges_of(p) for p in masks(x)] == pieces(g, x), x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scattered_multigraphs())
+def test_cut_tables_keep_exactly_the_cuts_that_can_give_a_side(g):
+    _assert_cut_tables_exact(g)
+
+
+def test_cut_tables_on_census_hosts_and_their_children():
+    hosts = [g for m in range(6, 10) for g in enumerate_underlying(m)]
+    for g in hosts:
+        _assert_cut_tables_exact(g)
+        # a 3-connected host keeps no cut at all
+        assert _Structure(g).cuts1 == [] and _Structure(g).cuts2 == []
+        for e in sorted(g.edges):
+            _assert_cut_tables_exact(delete_edge(g, e))
+            _assert_cut_tables_exact(contract_edge(g, e))
