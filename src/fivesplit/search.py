@@ -25,8 +25,15 @@ import multiprocessing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
-from .graph_core import MultiGraph, find_isomorphism, is_k_connected
+from .graph_core import (
+    MultiGraph,
+    contract_edge,
+    delete_edge,
+    find_isomorphism,
+    is_k_connected,
+)
 from .minors import (
     CatalogEntry,
     assign_dual_partners,
@@ -37,7 +44,14 @@ from .minors import (
     f0,
     family_label,
 )
-from .splitting import EnhancedGraph, _bad_side, _derived, graph_splits
+from .splitting import (
+    EnhancedGraph,
+    _bad_side,  # unused here; perfbench wraps this name to time the splitting layer
+    _cut_tables,
+    _edges_of,
+    _side_mask,
+    graph_splits,
+)
 
 _MAX_SEARCH_EDGES = 12
 _MAX_UNRESTRICTED_EDGES = 8
@@ -224,72 +238,123 @@ def enumerate_underlying(m: int, three_connected: bool = True) -> list[MultiGrap
 # -- per-host minimal-protection tables ----------------------------------------
 
 
-def _config_minima(
-    g: MultiGraph,
-) -> dict[frozenset[int], tuple[frozenset[int], frozenset[int]]]:
+class _HostTables:
+    """State of one host's minimal-protection tables, dropped when the host is done.
+
+    Bit i stands for the i-th smallest edge id of the host.  Every graph that
+    `enhanced_children`, a deletion or a contraction derives from the host
+    keeps a subset of the host's edge ids, so a configuration or a protection
+    set is one int across the host and all its derived graphs.  The cut tables
+    of each graph met are kept, keyed by the graph.
+    """
+
+    def __init__(self, host: MultiGraph):
+        self.ids = sorted(host.edges)
+        self.bit = {e: 1 << i for i, e in enumerate(self.ids)}
+        self.tables: dict[MultiGraph, tuple[int, list[list[int]], list[list[int]]]] = {}
+
+    def mask(self, edges: Iterable[int]) -> int:
+        bit = self.bit
+        out = 0
+        for e in edges:
+            b = bit.get(e)
+            if b is None:
+                raise RuntimeError(f"edge {e} lies outside the host's edge numbering")
+            out |= b
+        return out
+
+    def edges_of(self, mask: int) -> frozenset[int]:
+        return _edges_of(self.ids, mask)
+
+    def cuts(self, g: MultiGraph) -> tuple[int, list[list[int]], list[list[int]]]:
+        """The edge mask of g and its two cut tables, in the host's numbering."""
+        found = self.tables.get(g)
+        if found is None:
+            found = self.tables[g] = (self.mask(g.edges), *_cut_tables(g, self.bit))
+        return found
+
+
+def _config_minima(g: MultiGraph, host: _HostTables) -> dict[int, tuple[int, int]]:
     """For each configuration without a bad separation in g itself, the forced
-    minimal protections (C_min, D_min)."""
+    minimal protections (C_min, D_min).
+
+    Configurations come in the order of `itertools.combinations` over the
+    sorted edge ids, and every set is a mask in the host's numbering.
+    """
+    _, cuts1, cuts2 = host.cuts(g)
     edges = sorted(g.edges)
-    rows: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
+    rows: dict[int, tuple[int, int]] = {}
     if len(edges) < 5:
         return rows
-    for combo in itertools.combinations(edges, 5):
-        s = frozenset(combo)
-        if _bad_side(g, s) is not None:
+    per_edge = []
+    for e in edges:
+        _, del1, del2 = host.cuts(delete_edge(g, e))
+        contracted = None if g.is_loop(e) else host.cuts(contract_edge(g, e))
+        per_edge.append((host.bit[e], del1, del2, contracted))
+    for combo in itertools.combinations(per_edge, 5):
+        sm = 0
+        for b, *_ in combo:
+            sm |= b
+        if _side_mask(cuts1, cuts2, sm):
             continue
-        c_min: set[int] = set()
-        d_min: set[int] = set()
-        for e in combo:
-            if _bad_side(_derived(g, "delete", e), s - {e}) is not None:
-                d_min.add(e)
-            if not g.is_loop(e):
-                child = _derived(g, "contract", e)
-                if _bad_side(child, (s - {e}) & child.edge_ids()) is not None:
-                    c_min.add(e)
-        rows[s] = (frozenset(c_min), frozenset(d_min))
+        c_min = d_min = 0
+        for b, del1, del2, contracted in combo:
+            if _side_mask(del1, del2, sm ^ b):
+                d_min |= b
+            if contracted is not None:
+                kept, con1, con2 = contracted
+                if _side_mask(con1, con2, sm & kept):
+                    c_min |= b
+        rows[sm] = (c_min, d_min)
     return rows
 
 
-def _fits(
-    rows: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]],
-    c: frozenset[int],
-    d: frozenset[int],
-) -> bool:
-    """Does some configuration stay non-split under protections (c, d)?"""
-    return any(c2 <= c and d2 <= d for c2, d2 in rows.values())
+def _fits(pairs: Iterable[tuple[int, int]], c: int, d: int) -> bool:
+    """Does some configuration stay non-split under protections (c, d)?
+
+    pairs are the distinct (C_min, D_min) of a table, and c, d the protection
+    masks.
+    """
+    return any(not (c2 & ~c or d2 & ~d) for c2, d2 in pairs)
 
 
 def _host_entries(
     g: MultiGraph, include_plain: bool
 ) -> list[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
     """Minor-minimal candidates (C, D, witness) on the fixed underlying graph g."""
-    rows = _config_minima(g)
+    host = _HostTables(g)
+    rows = _config_minima(g, host)
     if not rows:
         return []
-    by_cd: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+    by_cd: dict[tuple[int, int], int] = {}
     for s, cd in rows.items():
-        if cd not in by_cd:
-            by_cd[cd] = s
-    child_rows: dict[tuple, dict] = {g.key(): rows}
+        by_cd.setdefault(cd, s)
+    distinct: dict[MultiGraph, set[tuple[int, int]]] = {g: set(by_cd)}
 
-    def crows(h: MultiGraph) -> dict:
-        k = h.key()
-        if k not in child_rows:
-            child_rows[k] = _config_minima(h)
-        return child_rows[k]
+    def pairs(h: MultiGraph) -> set[tuple[int, int]]:
+        found = distinct.get(h)
+        if found is None:
+            found = distinct[h] = set(_config_minima(h, host).values())
+        return found
 
     # A candidate is minimal when every one-step reduction splits.  Protection
     # removals are yielded first and read this host's own table, so they
     # reject most non-minimal candidates before any smaller graph is tabulated.
-    return [
-        (c, d, s)
-        for (c, d), s in by_cd.items()
-        if (include_plain or c or d)
-        and not any(
-            _fits(crows(child.graph), child.contract_protected, child.delete_protected)
-            for _, child in enhanced_children(EnhancedGraph(g, c, d))
-        )
-    ]
+    out = []
+    for (c, d), s in by_cd.items():
+        if not (include_plain or c or d):
+            continue
+        eg = EnhancedGraph(g, host.edges_of(c), host.edges_of(d))
+        if not any(
+            _fits(
+                pairs(child.graph),
+                host.mask(child.contract_protected),
+                host.mask(child.delete_protected),
+            )
+            for _, child in enhanced_children(eg)
+        ):
+            out.append((eg.contract_protected, eg.delete_protected, host.edges_of(s)))
+    return out
 
 
 # -- worker transport and checkpointing ----------------------------------------

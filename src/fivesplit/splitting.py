@@ -90,15 +90,9 @@ class SplitVerdict:
 
 
 class _Structure:
-    """The pieces of the cuts of order <= 2 that can give a bad side, as edge bitmasks.
+    """The cut tables of g for `_bad_side`, with its memos of sides and derived graphs.
 
-    Edge bit i stands for the i-th smallest edge id.  Cuts are (), each vertex,
-    then each vertex pair, over the sorted vertices, and pieces come in the
-    order of `graph_core.pieces`.  A cut is kept only when it can give a side
-    in `_bad_side`: a cut of order <= 1 needs an edge outside its largest
-    piece, since s must meet two pieces; a cut of order 2, scanned only for
-    |s| >= 4, needs two, since otherwise the largest piece holds at least three
-    edges of s and at most one other piece holds one.
+    Edge bit i stands for the i-th smallest edge id of g.
     """
 
     __slots__ = ("graph", "edge_ids", "bit", "cuts1", "cuts2", "bad_memo", "derived")
@@ -107,26 +101,72 @@ class _Structure:
         self.graph = g
         self.edge_ids = sorted(g.edges)
         self.bit = {e: 1 << i for i, e in enumerate(self.edge_ids)}
-        masks = _piece_masks(g, self.bit)
-        verts = sorted(g.vertices)
-        m = g.m
-        self.cuts1 = [
-            ps for x in [(), *((v,) for v in verts)] if _spare(ps := masks(x), m) >= 1
-        ]
-        self.cuts2 = [
-            ps for x in itertools.combinations(verts, 2) if _spare(ps := masks(x), m) >= 2
-        ]
+        self.cuts1, self.cuts2 = _cut_tables(g, self.bit)
         self.bad_memo: dict[frozenset[int], frozenset[int] | None] = {}
         self.derived: dict[tuple[str, int], MultiGraph] = {}
 
     def edges_of(self, mask: int) -> frozenset[int]:
-        ids = self.edge_ids
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(ids[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return _edges_of(self.edge_ids, mask)
+
+
+def _edges_of(ids: list[int], mask: int) -> frozenset[int]:
+    """The edges of a mask whose bit i stands for ids[i]."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+def _cut_tables(g: MultiGraph, bit: dict[int, int]) -> tuple[list[list[int]], list[list[int]]]:
+    """The pieces of the cuts of order <= 2 that can give a bad side, as edge bitmasks.
+
+    Edge e is `bit[e]`, one bit each, in the order of the edge ids.  Cuts are
+    (), each vertex, then each vertex pair, over the sorted vertices, and
+    pieces come in the order of `graph_core.pieces`.  A cut is kept only when
+    it can give a side in `_side_mask`: a cut of order <= 1 needs an edge
+    outside its largest piece, since s must meet two pieces; a cut of order 2,
+    scanned only for |s| >= 4, needs two, since otherwise the largest piece
+    holds at least three edges of s and at most one other piece holds one.
+    """
+    masks = _piece_masks(g, bit)
+    verts = sorted(g.vertices)
+    m = g.m
+    cuts1 = [ps for x in [(), *((v,) for v in verts)] if _spare(ps := masks(x), m) >= 1]
+    cuts2 = [ps for x in itertools.combinations(verts, 2) if _spare(ps := masks(x), m) >= 2]
+    return cuts1, cuts2
+
+
+def _side_mask(cuts1: list[list[int]], cuts2: list[list[int]], sm: int) -> int:
+    """The side mask of the first bad separation for the configuration mask sm, or 0.
+
+    Bad means: order <= 1 with sm on both sides, or order <= 2 with exactly
+    two sm-edges on one side and at least two on the other.  Cuts are scanned
+    in table order, then pieces in cut order.
+    """
+    t = sm.bit_count()
+    if t >= 2:
+        # the pieces of a cut partition the edges, so sm meets a second piece
+        # exactly when the first piece it meets misses part of sm
+        for ps in cuts1:
+            for p in ps:
+                if p & sm:
+                    if sm & ~p:
+                        return p
+                    break
+    if t >= 4:
+        for ps in cuts2:
+            single = 0
+            for p in ps:
+                c = (p & sm).bit_count()
+                if c == 2:
+                    return p
+                if c == 1:
+                    if single:
+                        return single | p
+                    single = p
+    return 0
 
 
 def _spare(ps: list[int], m: int) -> int:
@@ -203,9 +243,8 @@ def _structure(g: MultiGraph) -> _Structure:
 def _bad_side(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:
     """A side of a bad separation for the configuration s in g, or None.
 
-    Bad means: order <= 1 with s on both sides, or order <= 2 with exactly two
-    s-edges on one side and at least two on the other.  The side returned is
-    the first one met scanning cuts, then pieces, in `_Structure` order.
+    The side is the first one `_side_mask` meets in the `_Structure` tables of
+    g, as a set of edge ids; answers are memoised per graph.
     """
     st = _structure(g)
     if s in st.bad_memo:
@@ -214,34 +253,7 @@ def _bad_side(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:
     sm = 0
     for e in s:
         sm |= bit[e]
-    side = 0
-    t = len(s)
-    if t >= 2:
-        # the pieces of a cut partition the edges, so s meets a second piece
-        # exactly when the first piece it meets misses part of s
-        for ps in st.cuts1:
-            for p in ps:
-                if p & sm:
-                    if sm & ~p:
-                        side = p
-                    break
-            if side:
-                break
-    if not side and t >= 4:
-        for ps in st.cuts2:
-            single = 0
-            for p in ps:
-                c = (p & sm).bit_count()
-                if c == 2:
-                    side = p
-                    break
-                if c == 1:
-                    if single:
-                        side = single | p
-                        break
-                    single = p
-            if side:
-                break
+    side = _side_mask(st.cuts1, st.cuts2, sm)
     found = st.edges_of(side) if side else None
     st.bad_memo[s] = found
     return found

@@ -36,6 +36,21 @@ def subdivided(g: MultiGraph, times: int) -> MultiGraph:
     return MultiGraph(g.vertices | set(range(first, nxt)), edges)
 
 
+@st.composite
+def scattered_multigraphs(draw, min_edges: int = 0):
+    """A multigraph with loops, parallel edges, isolated vertices, and vertex
+    labels and edge ids with gaps; it has min_edges to 9 edges."""
+    labels = sorted(draw(st.sets(st.integers(min_value=0, max_value=30),
+                                 min_size=1 if min_edges else 0, max_size=7)))
+    if not labels:
+        return MultiGraph([], {})
+    vertex = st.sampled_from(labels)
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=min_edges, max_size=9))
+    ids = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=len(ends),
+                        max_size=len(ends), unique=True))
+    return MultiGraph(labels, dict(zip(ids, ends)))
+
+
 # The one entry of `search-minimal --max-edges 6`: K4 with its witness and weight.
 K4_CATALOG_LINE = "4|0-1:-,0-2:cd,0-3:cd,1-2:cd,1-3:cd,2-3:cd|2,3,4,5,6|K4|16|0"
 

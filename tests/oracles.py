@@ -19,9 +19,9 @@ from fivesplit.graph_core import (
 )
 from fivesplit.kirchhoff import five_invariant
 from fivesplit.matroid import RankOracle
-from fivesplit.minors import _simplified, canonical_form
+from fivesplit.minors import _simplified, canonical_form, enhanced_children
 from fivesplit.search import _canonical_rep, _IsoDedupe
-from fivesplit.splitting import EnhancedGraph
+from fivesplit.splitting import EnhancedGraph, _bad_side, _derived
 
 
 def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> bool:
@@ -132,6 +132,59 @@ def bad_side_by_pieces(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | Non
             if side is not None:
                 break
     return side
+
+
+def _config_minima(
+    g: MultiGraph,
+) -> dict[frozenset[int], tuple[frozenset[int], frozenset[int]]]:
+    """For each configuration without a bad separation in g itself, the forced
+    minimal protections (C_min, D_min)."""
+    edges = sorted(g.edges)
+    rows: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
+    if len(edges) < 5:
+        return rows
+    for combo in itertools.combinations(edges, 5):
+        s = frozenset(combo)
+        if _bad_side(g, s) is not None:
+            continue
+        c_min: set[int] = set()
+        d_min: set[int] = set()
+        for e in combo:
+            if _bad_side(_derived(g, "delete", e), s - {e}) is not None:
+                d_min.add(e)
+            if not g.is_loop(e):
+                child = _derived(g, "contract", e)
+                if _bad_side(child, (s - {e}) & child.edge_ids()) is not None:
+                    c_min.add(e)
+        rows[s] = (frozenset(c_min), frozenset(d_min))
+    return rows
+
+
+def host_entries_by_frozensets(
+    g: MultiGraph, include_plain: bool
+) -> list[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
+    """`search._host_entries` over the frozenset tables of `_config_minima`:
+    a candidate is kept when no one-step reduction has a row that fits."""
+    tables = {g.key(): _config_minima(g)}
+
+    def fits(child: EnhancedGraph) -> bool:
+        k = child.graph.key()
+        if k not in tables:
+            tables[k] = _config_minima(child.graph)
+        return any(
+            c2 <= child.contract_protected and d2 <= child.delete_protected
+            for c2, d2 in tables[k].values()
+        )
+
+    by_cd: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+    for s, cd in tables[g.key()].items():
+        by_cd.setdefault(cd, s)
+    return [
+        (c, d, s)
+        for (c, d), s in by_cd.items()
+        if (include_plain or c or d)
+        and not any(fits(child) for _, child in enhanced_children(EnhancedGraph(g, c, d)))
+    ]
 
 
 def five_invariant_all_orderings_agree(

@@ -7,6 +7,8 @@ import warnings
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fivesplit.search as search_module
 from fivesplit.graph_core import MultiGraph, find_isomorphism, is_k_connected
@@ -22,13 +24,17 @@ from fivesplit.search import (
     SearchConfig,
     _config_minima,
     _host_entries,
+    _HostTables,
     build_catalog,
     enumerate_underlying,
     find_minimal_nonsplit,
     verify_catalog,
 )
 from fivesplit.splitting import EnhancedGraph, config_splits, graph_splits
+from builders import scattered_multigraphs
+from oracles import _config_minima as frozenset_config_minima
 from oracles import _three_connected_census as unpruned_census
+from oracles import host_entries_by_frozensets
 
 
 def test_config_validation():
@@ -265,7 +271,7 @@ def test_host_entries_agree_with_the_engine():
     checked = 0
     for g in hosts:
         first: dict[tuple, frozenset[int]] = {}
-        for s, cd in _config_minima(g).items():
+        for s, cd in frozenset_config_minima(g).items():
             first.setdefault(cd, s)
         for include_plain in (False, True):
             kept = {(c, d): w for c, d, w in _host_entries(g, include_plain)}
@@ -281,3 +287,94 @@ def test_host_entries_agree_with_the_engine():
                     assert kept[(c, d)] == s
                 checked += 1
     assert checked > 0
+
+
+# -- the mask tables against the frozenset route --------------------------------
+
+
+def _assert_tables_equal_the_frozenset_route(g: MultiGraph, host: _HostTables) -> None:
+    """`_config_minima` in the host's numbering equals the frozenset tables of
+    `_bad_side` and `_derived`, row for row and in combination order."""
+    got = [
+        (host.edges_of(s), (host.edges_of(c), host.edges_of(d)))
+        for s, (c, d) in _config_minima(g, host).items()
+    ]
+    assert got == list(frozenset_config_minima(g).items()), g.edges
+
+
+def _graph_and_children(g: MultiGraph) -> list[MultiGraph]:
+    """g and every graph `enhanced_children` derives from it without protections."""
+    graphs = {g.key(): g}
+    for _, child in enhanced_children(EnhancedGraph(g)):
+        graphs.setdefault(child.graph.key(), child.graph)
+    return list(graphs.values())
+
+
+def test_mask_tables_equal_the_frozenset_route_on_census_hosts():
+    for m in range(6, 11):
+        for g in enumerate_underlying(m):
+            host = _HostTables(g)
+            for h in _graph_and_children(g):
+                _assert_tables_equal_the_frozenset_route(h, host)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scattered_multigraphs(min_edges=5))
+def test_mask_tables_equal_the_frozenset_route_on_multigraphs(g):
+    host = _HostTables(g)
+    for h in _graph_and_children(g):
+        _assert_tables_equal_the_frozenset_route(h, host)
+
+
+def test_host_entries_equal_the_frozenset_route():
+    for m in range(6, 12):
+        for g in enumerate_underlying(m):
+            for include_plain in (False, True):
+                assert _host_entries(g, include_plain) == host_entries_by_frozensets(
+                    g, include_plain
+                ), (g.edges, include_plain)
+
+
+# -- the host's edge numbering ----------------------------------------------------
+
+
+def _assert_children_keep_edge_ids(eg: EnhancedGraph) -> None:
+    ids = eg.graph.edge_ids()
+    for name, child in enhanced_children(eg):
+        assert child.graph.edge_ids() <= ids, name
+        assert child.contract_protected | child.delete_protected <= ids, name
+
+
+def test_children_of_census_hosts_keep_edge_ids():
+    for m in range(6, 11):
+        for g in enumerate_underlying(m):
+            _assert_children_keep_edge_ids(EnhancedGraph(g))
+            for c, d in set(frozenset_config_minima(g).values()):
+                _assert_children_keep_edge_ids(EnhancedGraph(g, c, d))
+
+
+@st.composite
+def _protected_multigraphs(draw):
+    g = draw(scattered_multigraphs())
+    edges = sorted(g.edges)
+    c = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    d = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    return EnhancedGraph(g, frozenset(c), frozenset(d))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_protected_multigraphs())
+def test_children_of_multigraphs_keep_edge_ids(eg):
+    _assert_children_keep_edge_ids(eg)
+
+
+def test_an_edge_outside_the_host_numbering_is_refused():
+    host = _HostTables(complete_graph(4))
+    foreign = MultiGraph(range(4), {1: (0, 1), 2: (1, 2), 3: (2, 3), 4: (0, 3), 99: (0, 2)})
+    small = MultiGraph(range(3), {1: (0, 1), 7: (1, 2)})
+    for g in (foreign, small):
+        with pytest.raises(RuntimeError) as caught:
+            _config_minima(g, host)
+        assert "\n" not in str(caught.value) and str(caught.value)
+    with pytest.raises(RuntimeError):
+        host.mask([1, 99])

@@ -51,6 +51,7 @@ from fivesplit.splitting import (
     to_enhanced,
     witness_holds,
 )
+from builders import scattered_multigraphs
 from oracles import bad_side_by_pieces
 
 K33_WITNESS = frozenset({1, 2, 4, 5, 9})
@@ -397,20 +398,6 @@ def test_bad_side_matches_frozenset_scan_and_definition(case):
 # -- the cut tables of `_Structure` ----------------------------------------------
 
 
-@st.composite
-def _scattered_multigraphs(draw):
-    """A multigraph with loops, parallel edges, isolated vertices, and vertex
-    labels and edge ids with gaps."""
-    labels = sorted(draw(st.sets(st.integers(min_value=0, max_value=30), max_size=7)))
-    if not labels:
-        return MultiGraph([], {})
-    vertex = st.sampled_from(labels)
-    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=9))
-    ids = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=len(ends),
-                        max_size=len(ends), unique=True))
-    return MultiGraph(labels, dict(zip(ids, ends)))
-
-
 def _cuts(g: MultiGraph) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     verts = sorted(g.vertices)
     return [(), *((v,) for v in verts)], list(itertools.combinations(verts, 2))
@@ -444,7 +431,7 @@ def _assert_cut_tables_exact(g: MultiGraph) -> None:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_scattered_multigraphs())
+@given(scattered_multigraphs())
 def test_bitmask_pieces_equal_graph_core_pieces(g):
     st_ = _Structure(g)
     masks = _piece_masks(g, st_.bit)
@@ -454,7 +441,7 @@ def test_bitmask_pieces_equal_graph_core_pieces(g):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_scattered_multigraphs())
+@given(scattered_multigraphs())
 def test_cut_tables_keep_exactly_the_cuts_that_can_give_a_side(g):
     _assert_cut_tables_exact(g)
 
