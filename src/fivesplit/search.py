@@ -47,9 +47,8 @@ from .minors import (
 from .splitting import (
     EnhancedGraph,
     _bad_side,  # unused here; perfbench wraps this name to time the splitting layer
-    _cut_tables,
-    _edges_of,
     _side_mask,
+    _Tables,
     graph_splits,
 )
 
@@ -238,48 +237,13 @@ def enumerate_underlying(m: int, three_connected: bool = True) -> list[MultiGrap
 # -- per-host minimal-protection tables ----------------------------------------
 
 
-class _HostTables:
-    """State of one host's minimal-protection tables, dropped when the host is done.
-
-    Bit i stands for the i-th smallest edge id of the host.  Every graph that
-    `enhanced_children`, a deletion or a contraction derives from the host
-    keeps a subset of the host's edge ids, so a configuration or a protection
-    set is one int across the host and all its derived graphs.  The cut tables
-    of each graph met are kept, keyed by the graph.
-    """
-
-    def __init__(self, host: MultiGraph):
-        self.ids = sorted(host.edges)
-        self.bit = {e: 1 << i for i, e in enumerate(self.ids)}
-        self.tables: dict[MultiGraph, tuple[int, list[list[int]], list[list[int]]]] = {}
-
-    def mask(self, edges: Iterable[int]) -> int:
-        bit = self.bit
-        out = 0
-        for e in edges:
-            b = bit.get(e)
-            if b is None:
-                raise RuntimeError(f"edge {e} lies outside the host's edge numbering")
-            out |= b
-        return out
-
-    def edges_of(self, mask: int) -> frozenset[int]:
-        return _edges_of(self.ids, mask)
-
-    def cuts(self, g: MultiGraph) -> tuple[int, list[list[int]], list[list[int]]]:
-        """The edge mask of g and its two cut tables, in the host's numbering."""
-        found = self.tables.get(g)
-        if found is None:
-            found = self.tables[g] = (self.mask(g.edges), *_cut_tables(g, self.bit))
-        return found
-
-
-def _config_minima(g: MultiGraph, host: _HostTables) -> dict[int, tuple[int, int]]:
+def _config_minima(g: MultiGraph, host: _Tables) -> dict[int, tuple[int, int]]:
     """For each configuration without a bad separation in g itself, the forced
     minimal protections (C_min, D_min).
 
     Configurations come in the order of `itertools.combinations` over the
-    sorted edge ids, and every set is a mask in the host's numbering.
+    sorted edge ids, and every set is a mask in the host's numbering: host is
+    rooted at the census graph that g derives from, and is dropped with it.
     """
     _, cuts1, cuts2 = host.cuts(g)
     edges = sorted(g.edges)
@@ -322,7 +286,7 @@ def _host_entries(
     g: MultiGraph, include_plain: bool
 ) -> list[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
     """Minor-minimal candidates (C, D, witness) on the fixed underlying graph g."""
-    host = _HostTables(g)
+    host = _Tables(g)
     rows = _config_minima(g, host)
     if not rows:
         return []
@@ -481,6 +445,7 @@ def find_minimal_nonsplit(cfg: SearchConfig) -> list[CatalogEntry]:
             found = ck.get(g) if ck is not None else None
         if found is None:
             found = []
+        family = None
         for c_l, d_l, w_l in found:
             c, d, w = frozenset(c_l), frozenset(d_l), frozenset(w_l)
             if not cfg.include_plain and not c and not d:
@@ -491,7 +456,9 @@ def find_minimal_nonsplit(cfg: SearchConfig) -> list[CatalogEntry]:
             if key in seen:
                 continue
             seen.add(key)
-            entries.append(CatalogEntry(canon, wit, family_label(g), eg.weight, None))
+            if family is None:
+                family = family_label(g)
+            entries.append(CatalogEntry(canon, wit, family, eg.weight, None))
     return entries
 
 

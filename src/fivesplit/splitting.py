@@ -86,37 +86,61 @@ class SplitVerdict:
     witness: SplitWitness | None
 
 
-# -- cut/piece structures, cached per graph ----------------------------------
+# -- cut tables on one edge numbering -----------------------------------------
 
 
-class _Structure:
-    """The cut tables of g for `_bad_side`, with its memos of sides and derived graphs.
+class _Tables:
+    """Cut tables of a graph and of the graphs derived from it, on one edge numbering.
 
-    Edge bit i stands for the i-th smallest edge id of g.
+    Bit i stands for the i-th smallest edge id of the root graph.  Every graph
+    that a deletion, a contraction or `minors.enhanced_children` derives from
+    the root keeps a subset of its edge ids, so a configuration or a protection
+    set is one int across the root and all its derived graphs.  The cut tables
+    of each graph met are kept, keyed by the graph, and so are the deletions
+    and contractions built by `child`.
     """
 
-    __slots__ = ("graph", "edge_ids", "bit", "cuts1", "cuts2", "bad_memo", "derived")
+    __slots__ = ("ids", "bit", "tables", "children")
 
-    def __init__(self, g: MultiGraph):
-        self.graph = g
-        self.edge_ids = sorted(g.edges)
-        self.bit = {e: 1 << i for i, e in enumerate(self.edge_ids)}
-        self.cuts1, self.cuts2 = _cut_tables(g, self.bit)
-        self.bad_memo: dict[frozenset[int], frozenset[int] | None] = {}
-        self.derived: dict[tuple[str, int], MultiGraph] = {}
+    def __init__(self, root: MultiGraph):
+        self.ids = sorted(root.edges)
+        self.bit = {e: 1 << i for i, e in enumerate(self.ids)}
+        self.tables: dict[MultiGraph, tuple[int, list[list[int]], list[list[int]]]] = {}
+        self.children: dict[tuple[MultiGraph, str, int], MultiGraph] = {}
+
+    def mask(self, edges: Iterable[int]) -> int:
+        bit = self.bit
+        out = 0
+        for e in edges:
+            b = bit.get(e)
+            if b is None:
+                raise RuntimeError(f"edge {e} lies outside the root graph's edge numbering")
+            out |= b
+        return out
 
     def edges_of(self, mask: int) -> frozenset[int]:
-        return _edges_of(self.edge_ids, mask)
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.ids[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
+    def cuts(self, g: MultiGraph) -> tuple[int, list[list[int]], list[list[int]]]:
+        """The edge mask of g and its two cut tables."""
+        found = self.tables.get(g)
+        if found is None:
+            found = self.tables[g] = (self.mask(g.edges), *_cut_tables(g, self.bit))
+        return found
 
-def _edges_of(ids: list[int], mask: int) -> frozenset[int]:
-    """The edges of a mask whose bit i stands for ids[i]."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(ids[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
+    def child(self, g: MultiGraph, op: str, e: int) -> MultiGraph:
+        """g - e for op "delete", g / e for op "contract"."""
+        key = (g, op, e)
+        found = self.children.get(key)
+        if found is None:
+            found = delete_edge(g, e) if op == "delete" else contract_edge(g, e)
+            self.children[key] = found
+        return found
 
 
 def _cut_tables(g: MultiGraph, bit: dict[int, int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -226,86 +250,69 @@ def _piece_masks(g: MultiGraph, bit: dict[int, int]) -> Callable[[tuple[int, ...
     return masks
 
 
-_CACHE: dict[MultiGraph, _Structure] = {}
+_CACHE: dict[MultiGraph, _Tables] = {}
 _CACHE_CAP = 60000
 
 
-def _structure(g: MultiGraph) -> _Structure:
-    st = _CACHE.get(g)
-    if st is None:
+def _tables_of(g: MultiGraph) -> _Tables:
+    """The tables rooted at g, shared by the entry points through `_CACHE`."""
+    t = _CACHE.get(g)
+    if t is None:
         if len(_CACHE) >= _CACHE_CAP:
             _CACHE.clear()
-        st = _Structure(g)
-        _CACHE[g] = st
-    return st
+        t = _CACHE[g] = _Tables(g)
+    return t
 
 
-def _bad_side(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:
-    """A side of a bad separation for the configuration s in g, or None.
+def _bad_side(t: _Tables, g: MultiGraph, sm: int) -> int:
+    """The first bad side for the configuration sm in g, as a mask, or 0.
 
-    The side is the first one `_side_mask` meets in the `_Structure` tables of
-    g, as a set of edge ids; answers are memoised per graph.
+    Edges of sm that g lacks leave the configuration: the edge that derived g
+    was deleted or contracted, and the edges parallel to it that a contraction
+    erased.
     """
-    st = _structure(g)
-    if s in st.bad_memo:
-        return st.bad_memo[s]
-    bit = st.bit
-    sm = 0
-    for e in s:
-        sm |= bit[e]
-    side = _side_mask(st.cuts1, st.cuts2, sm)
-    found = st.edges_of(side) if side else None
-    st.bad_memo[s] = found
-    return found
-
-
-def _derived(g: MultiGraph, op: str, e: int) -> MultiGraph:
-    st = _structure(g)
-    child = st.derived.get((op, e))
-    if child is None:
-        child = delete_edge(g, e) if op == "delete" else contract_edge(g, e)
-        st.derived[(op, e)] = child
-    return child
-
-
-def _witness(
-    op: str, e: int | None, child: MultiGraph, s_child: frozenset[int], side: frozenset[int]
-) -> SplitWitness:
-    other = child.edge_ids() - side
-    return SplitWitness(
-        operation=op,
-        edge=e,
-        side_a=side,
-        side_b=other,
-        boundary=boundary(child, side),
-        config_in_a=len(side & s_child),
-        config_in_b=len(other & s_child),
-    )
+    kept, cuts1, cuts2 = t.cuts(g)
+    return _side_mask(cuts1, cuts2, sm & kept)
 
 
 def _engine(
-    g: MultiGraph,
-    s: frozenset[int],
-    c_prot: frozenset[int],
-    d_prot: frozenset[int],
-) -> SplitVerdict:
-    side = _bad_side(g, s)
-    if side is not None:
-        return SplitVerdict(True, _witness("none", None, g, s, side))
-    for e in sorted(s):
-        if e not in d_prot:
-            child = _derived(g, "delete", e)
-            s2 = s - {e}
-            side = _bad_side(child, s2)
-            if side is not None:
-                return SplitVerdict(True, _witness("delete", e, child, s2, side))
-        if e not in c_prot and not g.is_loop(e):
-            child = _derived(g, "contract", e)
-            s2 = (s - {e}) & child.edge_ids()
-            side = _bad_side(child, s2)
-            if side is not None:
-                return SplitVerdict(True, _witness("contract", e, child, s2, side))
-    return SplitVerdict(False, None)
+    t: _Tables, g: MultiGraph, sm: int, c: int, d: int
+) -> tuple[str, int | None, int] | None:
+    """The first bad side that splits the configuration sm, or None.
+
+    g itself is scanned first, then g - e and g / e for each edge e of sm in
+    ascending order, except the deletions that d protects and the
+    contractions that c protects or a loop forbids.  The side comes as
+    (operation, edge, side mask), with ("none", None, side) for g itself.
+    """
+    side = _bad_side(t, g, sm)
+    if side:
+        return "none", None, side
+    rest = sm
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        e = t.ids[b.bit_length() - 1]
+        if not b & d:
+            side = _bad_side(t, t.child(g, "delete", e), sm ^ b)
+            if side:
+                return "delete", e, side
+        if not b & c and not g.is_loop(e):
+            side = _bad_side(t, t.child(g, "contract", e), sm ^ b)
+            if side:
+                return "contract", e, side
+    return None
+
+
+def _split_side(
+    eg: EnhancedGraph, s: frozenset[int]
+) -> tuple[_Tables, int, tuple[str, int | None, int] | None]:
+    """`_engine` on the cached tables of eg's graph: the tables, the mask of s
+    and the engine's answer."""
+    t = _tables_of(eg.graph)
+    sm = t.mask(s)
+    c, d = t.mask(eg.contract_protected), t.mask(eg.delete_protected)
+    return t, sm, _engine(t, eg.graph, sm, c, d)
 
 
 def _check_config(g: MultiGraph, config: Iterable[int]) -> frozenset[int]:
@@ -329,7 +336,23 @@ def config_splits(g: MultiGraph | EnhancedGraph, config: Iterable[int]) -> Split
     """
     eg = _as_enhanced(g)
     s = _check_config(eg.graph, config)
-    return _engine(eg.graph, s, eg.contract_protected, eg.delete_protected)
+    t, sm, found = _split_side(eg, s)
+    if found is None:
+        return SplitVerdict(False, None)
+    op, e, side = found
+    child = eg.graph if e is None else t.child(eg.graph, op, e)
+    s_child = sm & t.cuts(child)[0]
+    side_a = t.edges_of(side)
+    witness = SplitWitness(
+        operation=op,
+        edge=e,
+        side_a=side_a,
+        side_b=child.edge_ids() - side_a,
+        boundary=boundary(child, side_a),
+        config_in_a=(side & s_child).bit_count(),
+        config_in_b=(s_child & ~side).bit_count(),
+    )
+    return SplitVerdict(True, witness)
 
 
 def graph_splits(g: MultiGraph | EnhancedGraph) -> tuple[bool, frozenset[int] | None]:
@@ -342,7 +365,7 @@ def graph_splits(g: MultiGraph | EnhancedGraph) -> tuple[bool, frozenset[int] | 
     eg = _as_enhanced(g)
     for combo in itertools.combinations(sorted(eg.graph.edges), 5):
         s = frozenset(combo)
-        if not _engine(eg.graph, s, eg.contract_protected, eg.delete_protected).splits:
+        if _split_side(eg, s)[2] is None:
             return False, s
     return True, None
 
@@ -401,7 +424,7 @@ def to_enhanced(g: MultiGraph, config: Iterable[int]) -> tuple[EnhancedGraph, fr
     s = _check_config(g, config)
     if not is_connected(g):
         raise ValueError("the underlying graph must be connected")
-    if _engine(g, s, frozenset(), frozenset()).splits:
+    if _split_side(plain(g), s)[2] is not None:
         raise ValueError("the configuration splits; it has no enhanced form")
     holders = [b for b in blocks(g) if b & s]
     if len(holders) != 1:
@@ -463,19 +486,9 @@ def to_enhanced(g: MultiGraph, config: Iterable[int]) -> tuple[EnhancedGraph, fr
     if not is_k_connected(gt, 3):
         raise RuntimeError("the collapsed graph must be 3-connected")
     eg = EnhancedGraph(gt, frozenset(c_out), frozenset(d_out))
-    if _engine(gt, frozenset(s_out), eg.contract_protected, eg.delete_protected).splits:
+    if _split_side(eg, frozenset(s_out))[2] is not None:
         raise RuntimeError("the collapsed configuration must stay non-split")
     return eg, frozenset(s_out)
-
-
-def association_roundtrip_ok(g: MultiGraph, config: Iterable[int]) -> bool:
-    """to_enhanced . from_enhanced . to_enhanced is stable; used by tests."""
-    eg, s_t = to_enhanced(g, config)
-    expanded, s_p = from_enhanced(eg, s_t)
-    eg2, s_t2 = to_enhanced(expanded, s_p)
-    from .minors import canonical_form
-
-    return canonical_form(eg, s_t) == canonical_form(eg2, s_t2)
 
 
 GADGETS = ("triangle", "double-low", "double-high")

@@ -7,6 +7,7 @@ import itertools
 from hypothesis import strategies as st
 
 from fivesplit.graph_core import MultiGraph
+from fivesplit.splitting import EnhancedGraph
 
 
 def chain_of_k4s(count: int) -> MultiGraph:
@@ -49,6 +50,16 @@ def scattered_multigraphs(draw, min_edges: int = 0):
     ids = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=len(ends),
                         max_size=len(ends), unique=True))
     return MultiGraph(labels, dict(zip(ids, ends)))
+
+
+@st.composite
+def protected_multigraphs(draw):
+    """A `scattered_multigraphs` graph with random contract and delete protections."""
+    g = draw(scattered_multigraphs())
+    edges = sorted(g.edges)
+    c = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    d = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    return EnhancedGraph(g, frozenset(c), frozenset(d))
 
 
 # The one entry of `search-minimal --max-edges 6`: K4 with its witness and weight.

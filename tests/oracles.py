@@ -6,11 +6,13 @@ own, so a test can compare the two.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from fivesplit.graph_core import (
     MultiGraph,
+    boundary,
     contract_edge,
     delete_edge,
     find_isomorphism,
@@ -21,7 +23,15 @@ from fivesplit.kirchhoff import five_invariant
 from fivesplit.matroid import RankOracle
 from fivesplit.minors import _simplified, canonical_form, enhanced_children
 from fivesplit.search import _canonical_rep, _IsoDedupe
-from fivesplit.splitting import EnhancedGraph, _bad_side, _derived
+from fivesplit.splitting import (
+    EnhancedGraph,
+    SplitVerdict,
+    SplitWitness,
+    _bad_side,
+    _tables_of,
+    from_enhanced,
+    to_enhanced,
+)
 
 
 def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> bool:
@@ -99,15 +109,23 @@ def _three_connected_census(m: int) -> list[MultiGraph]:
     return out
 
 
-def bad_side_by_pieces(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:
-    """`splitting._bad_side` as a frozenset scan over the pieces of each cut.
-
-    The same cut order, piece order and break rules as the library's bitmask
-    kernel, with the pieces recomputed on every call and no memo.
-    """
+@functools.lru_cache(maxsize=4096)
+def _cut_pieces(g: MultiGraph) -> tuple[list, list]:
+    """`graph_core.pieces` of every cut of order <= 1, then of order 2."""
     verts = sorted(g.vertices)
     cuts1 = [pieces(g, ())] + [pieces(g, (v,)) for v in verts]
     cuts2 = [pieces(g, x) for x in itertools.combinations(verts, 2)]
+    return cuts1, cuts2
+
+
+def bad_side_by_pieces(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:
+    """`splitting._side_mask` as a frozenset scan over the pieces of each cut.
+
+    The same cut order, piece order and break rules as the library's bitmask
+    kernel, over every cut (none is dropped in advance), with no memo of
+    answers; only each graph's pieces are kept.
+    """
+    cuts1, cuts2 = _cut_pieces(g)
     side: frozenset[int] | None = None
     t = len(s)
     if t >= 2:
@@ -134,6 +152,55 @@ def bad_side_by_pieces(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | Non
     return side
 
 
+def bad_side_of(g: MultiGraph, s: frozenset[int]) -> frozenset[int] | None:
+    """`splitting._bad_side` on the tables rooted at g itself, as a set of edge ids."""
+    t = _tables_of(g)
+    side = _bad_side(t, g, t.mask(s))
+    return t.edges_of(side) if side else None
+
+
+def _witness(
+    op: str, e: int | None, child: MultiGraph, s_child: frozenset[int], side: frozenset[int]
+) -> SplitWitness:
+    other = child.edge_ids() - side
+    return SplitWitness(
+        operation=op,
+        edge=e,
+        side_a=side,
+        side_b=other,
+        boundary=boundary(child, side),
+        config_in_a=len(side & s_child),
+        config_in_b=len(other & s_child),
+    )
+
+
+def engine_by_pieces(
+    g: MultiGraph,
+    s: frozenset[int],
+    c_prot: frozenset[int],
+    d_prot: frozenset[int],
+) -> SplitVerdict:
+    """The splitting engine on frozensets, over `bad_side_by_pieces`: g itself,
+    then g - e and g / e for each e of s ascending, unless protected."""
+    side = bad_side_by_pieces(g, s)
+    if side is not None:
+        return SplitVerdict(True, _witness("none", None, g, s, side))
+    for e in sorted(s):
+        if e not in d_prot:
+            child = delete_edge(g, e)
+            s2 = s - {e}
+            side = bad_side_by_pieces(child, s2)
+            if side is not None:
+                return SplitVerdict(True, _witness("delete", e, child, s2, side))
+        if e not in c_prot and not g.is_loop(e):
+            child = contract_edge(g, e)
+            s2 = (s - {e}) & child.edge_ids()
+            side = bad_side_by_pieces(child, s2)
+            if side is not None:
+                return SplitVerdict(True, _witness("contract", e, child, s2, side))
+    return SplitVerdict(False, None)
+
+
 def _config_minima(
     g: MultiGraph,
 ) -> dict[frozenset[int], tuple[frozenset[int], frozenset[int]]]:
@@ -143,18 +210,20 @@ def _config_minima(
     rows: dict[frozenset[int], tuple[frozenset[int], frozenset[int]]] = {}
     if len(edges) < 5:
         return rows
+    deleted = {e: delete_edge(g, e) for e in edges}
+    contracted = {e: contract_edge(g, e) for e in edges if not g.is_loop(e)}
     for combo in itertools.combinations(edges, 5):
         s = frozenset(combo)
-        if _bad_side(g, s) is not None:
+        if bad_side_of(g, s) is not None:
             continue
         c_min: set[int] = set()
         d_min: set[int] = set()
         for e in combo:
-            if _bad_side(_derived(g, "delete", e), s - {e}) is not None:
+            if bad_side_of(deleted[e], s - {e}) is not None:
                 d_min.add(e)
-            if not g.is_loop(e):
-                child = _derived(g, "contract", e)
-                if _bad_side(child, (s - {e}) & child.edge_ids()) is not None:
+            if e in contracted:
+                child = contracted[e]
+                if bad_side_of(child, (s - {e}) & child.edge_ids()) is not None:
                     c_min.add(e)
         rows[s] = (frozenset(c_min), frozenset(d_min))
     return rows
@@ -185,6 +254,14 @@ def host_entries_by_frozensets(
         if (include_plain or c or d)
         and not any(fits(child) for _, child in enhanced_children(EnhancedGraph(g, c, d)))
     ]
+
+
+def association_roundtrip_ok(g: MultiGraph, config: Iterable[int]) -> bool:
+    """to_enhanced . from_enhanced . to_enhanced is stable; used by tests."""
+    eg, s_t = to_enhanced(g, config)
+    expanded, s_p = from_enhanced(eg, s_t)
+    eg2, s_t2 = to_enhanced(expanded, s_p)
+    return canonical_form(eg, s_t) == canonical_form(eg2, s_t2)
 
 
 def five_invariant_all_orderings_agree(

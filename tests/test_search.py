@@ -24,14 +24,13 @@ from fivesplit.search import (
     SearchConfig,
     _config_minima,
     _host_entries,
-    _HostTables,
     build_catalog,
     enumerate_underlying,
     find_minimal_nonsplit,
     verify_catalog,
 )
-from fivesplit.splitting import EnhancedGraph, config_splits, graph_splits
-from builders import scattered_multigraphs
+from fivesplit.splitting import EnhancedGraph, _Tables, config_splits, graph_splits
+from builders import protected_multigraphs, scattered_multigraphs
 from oracles import _config_minima as frozenset_config_minima
 from oracles import _three_connected_census as unpruned_census
 from oracles import host_entries_by_frozensets
@@ -292,9 +291,9 @@ def test_host_entries_agree_with_the_engine():
 # -- the mask tables against the frozenset route --------------------------------
 
 
-def _assert_tables_equal_the_frozenset_route(g: MultiGraph, host: _HostTables) -> None:
-    """`_config_minima` in the host's numbering equals the frozenset tables of
-    `_bad_side` and `_derived`, row for row and in combination order."""
+def _assert_tables_equal_the_frozenset_route(g: MultiGraph, host: _Tables) -> None:
+    """`_config_minima` in the host's numbering equals the frozenset tables that
+    scan each graph on its own numbering, row for row and in combination order."""
     got = [
         (host.edges_of(s), (host.edges_of(c), host.edges_of(d)))
         for s, (c, d) in _config_minima(g, host).items()
@@ -313,7 +312,7 @@ def _graph_and_children(g: MultiGraph) -> list[MultiGraph]:
 def test_mask_tables_equal_the_frozenset_route_on_census_hosts():
     for m in range(6, 11):
         for g in enumerate_underlying(m):
-            host = _HostTables(g)
+            host = _Tables(g)
             for h in _graph_and_children(g):
                 _assert_tables_equal_the_frozenset_route(h, host)
 
@@ -321,7 +320,7 @@ def test_mask_tables_equal_the_frozenset_route_on_census_hosts():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(scattered_multigraphs(min_edges=5))
 def test_mask_tables_equal_the_frozenset_route_on_multigraphs(g):
-    host = _HostTables(g)
+    host = _Tables(g)
     for h in _graph_and_children(g):
         _assert_tables_equal_the_frozenset_route(h, host)
 
@@ -353,23 +352,14 @@ def test_children_of_census_hosts_keep_edge_ids():
                 _assert_children_keep_edge_ids(EnhancedGraph(g, c, d))
 
 
-@st.composite
-def _protected_multigraphs(draw):
-    g = draw(scattered_multigraphs())
-    edges = sorted(g.edges)
-    c = draw(st.sets(st.sampled_from(edges))) if edges else set()
-    d = draw(st.sets(st.sampled_from(edges))) if edges else set()
-    return EnhancedGraph(g, frozenset(c), frozenset(d))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_protected_multigraphs())
+@given(protected_multigraphs())
 def test_children_of_multigraphs_keep_edge_ids(eg):
     _assert_children_keep_edge_ids(eg)
 
 
 def test_an_edge_outside_the_host_numbering_is_refused():
-    host = _HostTables(complete_graph(4))
+    host = _Tables(complete_graph(4))
     foreign = MultiGraph(range(4), {1: (0, 1), 2: (1, 2), 3: (2, 3), 4: (0, 3), 99: (0, 2)})
     small = MultiGraph(range(3), {1: (0, 1), 7: (1, 2)})
     for g in (foreign, small):

@@ -40,10 +40,8 @@ from fivesplit.search import _connected_census, enumerate_underlying
 from fivesplit.splitting import (
     EnhancedGraph,
     GADGETS,
-    _Structure,
-    _bad_side,
     _piece_masks,
-    association_roundtrip_ok,
+    _Tables,
     config_splits,
     from_enhanced,
     graph_splits,
@@ -51,8 +49,14 @@ from fivesplit.splitting import (
     to_enhanced,
     witness_holds,
 )
-from builders import scattered_multigraphs
-from oracles import bad_side_by_pieces
+from builders import protected_multigraphs, scattered_multigraphs
+from oracles import _config_minima as frozenset_config_minima
+from oracles import (
+    association_roundtrip_ok,
+    bad_side_by_pieces,
+    bad_side_of,
+    engine_by_pieces,
+)
 
 K33_WITNESS = frozenset({1, 2, 4, 5, 9})
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "catalog_max11.txt"
@@ -372,7 +376,7 @@ def test_bad_side_matches_frozenset_scan_on_census_hosts():
         for t in (3, 4, 5):
             for combo in itertools.combinations(sorted(g.edges), t):
                 s = frozenset(combo)
-                assert _bad_side(g, s) == bad_side_by_pieces(g, s), (g.edges, s)
+                assert bad_side_of(g, s) == bad_side_by_pieces(g, s), (g.edges, s)
 
 
 @st.composite
@@ -390,12 +394,12 @@ def _configured_multigraphs(draw):
 @given(_configured_multigraphs())
 def test_bad_side_matches_frozenset_scan_and_definition(case):
     g, s = case
-    side = _bad_side(g, s)
+    side = bad_side_of(g, s)
     assert side == bad_side_by_pieces(g, s)
     assert (side is not None) == _has_bad_separation(g, s)
 
 
-# -- the cut tables of `_Structure` ----------------------------------------------
+# -- the cut tables of `_Tables` -------------------------------------------------
 
 
 def _cuts(g: MultiGraph) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -405,7 +409,7 @@ def _cuts(g: MultiGraph) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
 
 def _cut_gives_a_side(ps: list[int], m: int, order2: bool) -> bool:
     """Does some configuration of 2 to 5 edges give a side on this one cut, by
-    the rules of `_bad_side`?  Order-2 cuts are scanned only for 4 or more."""
+    the rules of `_side_mask`?  Order-2 cuts are scanned only for 4 or more."""
     for t in range(4 if order2 else 2, 6):
         for combo in itertools.combinations(range(m), t):
             sm = sum(1 << i for i in combo)
@@ -418,14 +422,14 @@ def _cut_gives_a_side(ps: list[int], m: int, order2: bool) -> bool:
 
 
 def _assert_cut_tables_exact(g: MultiGraph) -> None:
-    """`_Structure` keeps, in scan order, exactly the cuts that can give a side."""
-    st_ = _Structure(g)
+    """`_Tables` keeps, in scan order, exactly the cuts that can give a side."""
+    st_ = _Tables(g)
     masks = _piece_masks(g, st_.bit)
     cuts1, cuts2 = _cuts(g)
-    assert st_.cuts1 == [masks(x) for x in cuts1 if _cut_gives_a_side(masks(x), g.m, False)]
+    assert st_.cuts(g)[1] == [masks(x) for x in cuts1 if _cut_gives_a_side(masks(x), g.m, False)]
     kept2 = [masks(x) for x in cuts2 if _cut_gives_a_side(masks(x), g.m, True)]
     if g.m >= 4:
-        assert st_.cuts2 == kept2
+        assert st_.cuts(g)[2] == kept2
     else:
         assert kept2 == []
 
@@ -433,7 +437,7 @@ def _assert_cut_tables_exact(g: MultiGraph) -> None:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(scattered_multigraphs())
 def test_bitmask_pieces_equal_graph_core_pieces(g):
-    st_ = _Structure(g)
+    st_ = _Tables(g)
     masks = _piece_masks(g, st_.bit)
     cuts1, cuts2 = _cuts(g)
     for x in cuts1 + cuts2:
@@ -451,7 +455,41 @@ def test_cut_tables_on_census_hosts_and_their_children():
     for g in hosts:
         _assert_cut_tables_exact(g)
         # a 3-connected host keeps no cut at all
-        assert _Structure(g).cuts1 == [] and _Structure(g).cuts2 == []
+        assert _Tables(g).cuts(g)[1] == [] and _Tables(g).cuts(g)[2] == []
         for e in sorted(g.edges):
             _assert_cut_tables_exact(delete_edge(g, e))
             _assert_cut_tables_exact(contract_edge(g, e))
+
+
+# -- the mask engine against the frozenset engine ---------------------------------
+
+
+def _assert_engines_agree(eg: EnhancedGraph) -> None:
+    """Same verdict and witness for every configuration, and the same first
+    failing configuration."""
+    g, c, d = eg.graph, eg.contract_protected, eg.delete_protected
+    first = None
+    for combo in itertools.combinations(sorted(g.edges), 5):
+        s = frozenset(combo)
+        expected = engine_by_pieces(g, s, c, d)
+        assert config_splits(eg, s) == expected, (g.edges, c, d, s)
+        if first is None and not expected.splits:
+            first = s
+    assert graph_splits(eg) == (first is None, first), (g.edges, c, d)
+
+
+def test_engine_equals_the_frozenset_engine_on_census_hosts():
+    hosts = [g for m in range(6, 10) for g in enumerate_underlying(m)]
+    graphs = list(hosts)
+    for g in hosts:
+        for e in sorted(g.edges):
+            graphs += [delete_edge(g, e), contract_edge(g, e)]
+    for g in graphs:
+        for c, d in {(frozenset(), frozenset()), *frozenset_config_minima(g).values()}:
+            _assert_engines_agree(EnhancedGraph(g, c, d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(protected_multigraphs())
+def test_engine_equals_the_frozenset_engine_on_multigraphs(eg):
+    _assert_engines_agree(eg)
