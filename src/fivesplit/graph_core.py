@@ -129,13 +129,6 @@ def delete_edge(g: MultiGraph, e: int) -> MultiGraph:
     return MultiGraph(g.vertices, {f: uv for f, uv in g.edges.items() if f != e})
 
 
-def delete_edges(g: MultiGraph, es: Iterable[int]) -> MultiGraph:
-    drop = set(es)
-    for e in drop:
-        g.endpoints(e)
-    return MultiGraph(g.vertices, {f: uv for f, uv in g.edges.items() if f not in drop})
-
-
 def delete_vertex(g: MultiGraph, v: int) -> MultiGraph:
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v}")

@@ -28,6 +28,7 @@ from . import named_graphs as ng
 from .graph_core import (
     MultiGraph,
     _check_vertex_count,
+    _component_mask,
     blocks,
     contract_edge,
     delete_edge,
@@ -60,22 +61,15 @@ def _connected_vertex_masks(adj: list[int]) -> list[tuple[int, int]]:
     """
     out = []
     for mask in range(1, 1 << len(adj)):
-        low = mask & -mask
-        seen = low
-        frontier = low
+        if _component_mask(adj, mask) != mask:
+            continue
         reach = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                row = adj[bit.bit_length() - 1]
-                reach |= row
-                nxt |= row & mask & ~seen
-            seen |= nxt
-            frontier = nxt
-        if seen == mask:
-            out.append((mask, reach & ~mask))
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            reach |= adj[bit.bit_length() - 1]
+            rest ^= bit
+        out.append((mask, reach & ~mask))
     out.sort(key=lambda mr: (mr[0].bit_count(), mr[0]))
     return out
 

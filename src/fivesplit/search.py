@@ -19,6 +19,7 @@ restriction loses nothing.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -43,6 +44,7 @@ from .minors import (
     enhanced_children,
     f0,
     family_label,
+    render_catalog,
 )
 from .splitting import (
     EnhancedGraph,
@@ -76,9 +78,6 @@ class SearchConfig:
 
 
 # -- the census of underlying graphs ------------------------------------------
-
-
-_CENSUS_CACHE: dict[tuple[int, bool], tuple[MultiGraph, ...]] = {}
 
 
 def _canonical_rep(g: MultiGraph) -> MultiGraph:
@@ -227,11 +226,7 @@ def enumerate_underlying(m: int, three_connected: bool = True) -> list[MultiGrap
         raise ValueError(f"edge count must lie in 1..{_MAX_SEARCH_EDGES}")
     if not three_connected and m > _MAX_UNRESTRICTED_EDGES:
         raise ValueError(f"the unrestricted census is limited to {_MAX_UNRESTRICTED_EDGES} edges")
-    key = (m, three_connected)
-    if key not in _CENSUS_CACHE:
-        fn = _three_connected_census if three_connected else _connected_census
-        _CENSUS_CACHE[key] = tuple(fn(m))
-    return list(_CENSUS_CACHE[key])
+    return _three_connected_census(m) if three_connected else _connected_census(m)
 
 
 # -- per-host minimal-protection tables ----------------------------------------
@@ -420,31 +415,22 @@ def find_minimal_nonsplit(cfg: SearchConfig) -> list[CatalogEntry]:
     for m in range(lo, cfg.max_edges + 1):
         hosts.extend(enumerate_underlying(m, cfg.require_three_connected))
     ck = _Checkpoint(cfg) if cfg.checkpoint is not None else None
-
-    pending = [g for g in hosts if ck is None or ck.get(g) is None]
-    computed: dict[tuple, list] = {}
-    if cfg.jobs > 1 and pending:
-        args = [(*(_host_wire(g)), cfg.include_plain) for g in pending]
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            for g, found in zip(pending, pool.imap(_host_worker, args)):
-                computed[g.key()] = found
-                if ck is not None:
-                    ck.put(g, found)
-    else:
-        for g in pending:
-            found = _host_worker((*(_host_wire(g)), cfg.include_plain))
-            computed[g.key()] = found
+    found_by_host: dict[tuple, list] = {}
+    if ck is not None:
+        found_by_host = {g.key(): f for g in hosts if (f := ck.get(g)) is not None}
+    pending = [g for g in hosts if g.key() not in found_by_host]
+    args = [(*_host_wire(g), cfg.include_plain) for g in pending]
+    use_pool = cfg.jobs > 1 and pending
+    with multiprocessing.Pool(cfg.jobs) if use_pool else contextlib.nullcontext() as pool:
+        for g, found in zip(pending, (pool.imap if pool else map)(_host_worker, args)):
+            found_by_host[g.key()] = found
             if ck is not None:
                 ck.put(g, found)
 
     entries: list[CatalogEntry] = []
     seen: set[tuple] = set()
     for g in hosts:
-        found = computed.get(g.key())
-        if found is None:
-            found = ck.get(g) if ck is not None else None
-        if found is None:
-            found = []
+        found = found_by_host[g.key()]
         family = None
         for c_l, d_l, w_l in found:
             c, d, w = frozenset(c_l), frozenset(d_l), frozenset(w_l)
@@ -506,8 +492,6 @@ class VerifyReport:
 
 def verify_catalog(cfg: SearchConfig, golden: list[CatalogEntry]) -> VerifyReport:
     """Regenerate the catalog and diff it against a stored copy."""
-    from .minors import render_catalog
-
     rebuilt = build_catalog(cfg)
 
     def lines(entries: list[CatalogEntry]) -> dict[tuple, str]:

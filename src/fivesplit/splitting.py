@@ -491,7 +491,13 @@ def to_enhanced(g: MultiGraph, config: Iterable[int]) -> tuple[EnhancedGraph, fr
     return eg, frozenset(s_out)
 
 
-GADGETS = ("triangle", "double-low", "double-high")
+# The parts of a doubly protected edge xy, subdivided at the new vertex z.
+_BOTH_PROTECTED = {
+    "triangle": lambda x, y, z: [(x, z), (z, y), (x, y)],
+    "double-low": lambda x, y, z: [(x, z), (x, z), (z, y)],
+    "double-high": lambda x, y, z: [(z, y), (z, y), (x, z)],
+}
+GADGETS = tuple(_BOTH_PROTECTED)
 
 
 def from_enhanced(
@@ -503,8 +509,10 @@ def from_enhanced(
     edge; contract protection alone subdivides it (the configuration moves to
     the half at x); both protections expand to the default triangle gadget
     x-z-y plus the chord xy, with the configuration on xz.  The alternative
-    doubly protected gadgets subdivide and double one half instead.  The edge
-    count of the result equals the weight of the input.
+    doubly protected gadgets subdivide and double one half instead.  Edge e
+    keeps the first part of its gadget and new parts take fresh ids, so the
+    configuration keeps its ids.  The edge count of the result equals the
+    weight of the input.
     """
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}")
@@ -514,59 +522,23 @@ def from_enhanced(
         raise ValueError("configuration edges must belong to the graph")
     edges: dict[int, tuple[int, int]] = {}
     vertices = set(g.vertices)
-    s_out: set[int] = set()
     next_v = max(g.vertices) + 1 if g.vertices else 0
     next_e = max(g.edges) + 1 if g.edges else 1
     for e in sorted(g.edges):
         x, y = g.edges[e]
-        in_c = e in eg.contract_protected
         in_d = e in eg.delete_protected
-        in_s = e in s
-        if not in_c and not in_d:
-            edges[e] = (x, y)
-            if in_s:
-                s_out.add(e)
-        elif in_d and not in_c:
-            edges[e] = (x, y)
-            edges[next_e] = (x, y)
-            next_e += 1
-            if in_s:
-                s_out.add(e)
-        elif in_c and not in_d:
+        if e in eg.contract_protected:
             z = next_v
             next_v += 1
             vertices.add(z)
-            edges[e] = (x, z)
-            edges[next_e] = (z, y)
-            next_e += 1
-            if in_s:
-                s_out.add(e)
+            parts = _BOTH_PROTECTED[gadget](x, y, z) if in_d else [(x, z), (z, y)]
         else:
-            z = next_v
-            next_v += 1
-            vertices.add(z)
-            if gadget == "triangle":
-                edges[e] = (x, z)
-                edges[next_e] = (z, y)
-                edges[next_e + 1] = (x, y)
-                next_e += 2
-                if in_s:
-                    s_out.add(e)
-            elif gadget == "double-low":
-                edges[e] = (x, z)
-                edges[next_e] = (x, z)
-                edges[next_e + 1] = (z, y)
-                next_e += 2
-                if in_s:
-                    s_out.add(e)
-            else:
-                edges[e] = (z, y)
-                edges[next_e] = (z, y)
-                edges[next_e + 1] = (x, z)
-                next_e += 2
-                if in_s:
-                    s_out.add(e)
+            parts = [(x, y)] * (2 if in_d else 1)
+        edges[e] = parts[0]
+        for part in parts[1:]:
+            edges[next_e] = part
+            next_e += 1
     out = MultiGraph(vertices, edges)
     if out.m != eg.weight:
         raise RuntimeError("gadget expansion must preserve the weight")
-    return out, frozenset(s_out)
+    return out, s

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from fivesplit.graph_core import _MAX_PARSED_VERTICES, MultiGraph, find_isomorph
 from fivesplit.minors import (
     CatalogEntry,
     MinorPattern,
+    _connected_vertex_masks,
     _minor_search,
     _reduces_exactly,
     _simplified,
@@ -222,6 +225,32 @@ _PATTERNS += [_DOUBLE_EDGE, cycle_graph(4), _K4_PENDANT]
 @given(_messy_hosts(), st.sampled_from(_PATTERNS))
 def test_reduced_search_agrees_on_messy_multigraphs(host, pattern):
     _assert_routes_agree(host, pattern)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    g = nx.empty_graph(n)
+    g.add_edges_from((u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex))) if u != v)
+    return g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_graphs())
+def test_connected_vertex_masks_match_brute_force(g):
+    adj = [sum(1 << w for w in g[v]) for v in range(len(g))]
+    want = []
+    for size in range(1, len(g) + 1):
+        for subset in itertools.combinations(range(len(g)), size):
+            if nx.is_connected(g.subgraph(subset)):
+                mask = sum(1 << v for v in subset)
+                reach = 0
+                for v in subset:
+                    reach |= adj[v]
+                want.append((mask, reach & ~mask))
+    want.sort(key=lambda mr: (mr[0].bit_count(), mr[0]))
+    assert _connected_vertex_masks(adj) == want
 
 
 def test_reduced_search_agrees_on_registry_graphs():

@@ -237,6 +237,29 @@ def test_checkpoint_resume(tmp_path):
     ) == render_catalog([e.with_partner(None) for e in second])
 
 
+def test_resumed_run_recomputes_no_host(tmp_path, monkeypatch):
+    cfg = SearchConfig(max_edges=8, checkpoint=tmp_path / "progress.jsonl")
+    first = find_minimal_nonsplit(cfg)
+
+    def refuse(args):
+        raise AssertionError("a checkpointed host was computed again")
+
+    monkeypatch.setattr(search_module, "_host_worker", refuse)
+    assert render_catalog(find_minimal_nonsplit(cfg)) == render_catalog(first)
+
+
+def test_truncated_checkpoint_resumes_in_parallel(tmp_path):
+    path = tmp_path / "progress.jsonl"
+    fresh = find_minimal_nonsplit(SearchConfig(max_edges=8))
+    find_minimal_nonsplit(SearchConfig(max_edges=8, checkpoint=path))
+    header, *hosts = path.read_text(encoding="utf-8").splitlines()
+    assert len(hosts) > 1
+    path.write_text("\n".join([header, *hosts[: len(hosts) // 2]]) + "\n", encoding="utf-8")
+    resumed = find_minimal_nonsplit(SearchConfig(max_edges=8, jobs=2, checkpoint=path))
+    assert render_catalog(resumed) == render_catalog(fresh)
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + len(hosts)
+
+
 def test_checkpoint_survives_damage(tmp_path):
     path = tmp_path / "progress.jsonl"
     cfg = SearchConfig(max_edges=6, checkpoint=path)

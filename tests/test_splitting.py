@@ -307,6 +307,23 @@ def test_from_enhanced_weight_is_edge_count():
         assert canonical_form(back, s_back) == canonical_form(eg, s)
 
 
+def test_from_enhanced_output_is_pinned():
+    # K4 with edge 1 plain, 2 contract-protected, 3 delete-protected, 4 both
+    eg = EnhancedGraph(complete_graph(4), frozenset({2, 4}), frozenset({3, 4}))
+    shared = {1: (0, 1), 2: (0, 4), 3: (0, 3), 5: (1, 3), 6: (2, 3), 7: (2, 4), 8: (0, 3)}
+    both = {
+        "triangle": {4: (1, 5), 9: (2, 5), 10: (1, 2)},
+        "double-low": {4: (1, 5), 9: (1, 5), 10: (2, 5)},
+        "double-high": {4: (2, 5), 9: (2, 5), 10: (1, 5)},
+    }
+    assert set(both) == set(GADGETS)
+    for gadget, parts in both.items():
+        out, s_out = from_enhanced(eg, [1, 2, 3, 4, 5], gadget)
+        assert out.vertices == frozenset(range(6)), gadget
+        assert out.edges == {**shared, **parts}, gadget
+        assert s_out == frozenset({1, 2, 3, 4, 5}), gadget
+
+
 def test_from_enhanced_rejects_unknown_gadget():
     g = complete_graph(4)
     s = frozenset({1, 2, 3, 4, 5})
