@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 EdgeSubset = frozenset[int]
 
@@ -308,14 +308,6 @@ def spanning_trees(g: MultiGraph) -> Iterator[EdgeSubset]:
     yield from rec(g)
 
 
-def _spanning_forests(g: MultiGraph) -> Iterator[EdgeSubset]:
-    """Bases of the graphic matroid: one spanning tree per component, unioned."""
-    comps = connected_components(g)
-    per_comp = [list(spanning_trees(induced_subgraph(g, c))) for c in comps]
-    for choice in itertools.product(*per_comp):
-        yield frozenset().union(*choice) if choice else frozenset()
-
-
 def pieces(g: MultiGraph, cut: Iterable[int]) -> list[EdgeSubset]:
     """Pieces of G relative to a vertex cut X.
 
@@ -355,11 +347,7 @@ def pieces(g: MultiGraph, cut: Iterable[int]) -> list[EdgeSubset]:
     return out
 
 
-def enumerate_low_order_separations(
-    g: MultiGraph,
-    max_order: int,
-    require: Callable[[GraphSeparation], bool] | None = None,
-) -> Iterator[GraphSeparation]:
+def enumerate_low_order_separations(g: MultiGraph, max_order: int) -> Iterator[GraphSeparation]:
     """All separations of order <= max_order, each unordered pair once.
 
     Candidate cuts are vertex subsets X with |X| <= max_order; sides are unions
@@ -385,9 +373,7 @@ def enumerate_low_order_separations(
                 bnd = boundary(g, canon)
                 if len(bnd) > max_order:
                     continue
-                sep = GraphSeparation(canon, all_edges - canon, bnd, len(bnd))
-                if require is None or require(sep):
-                    yield sep
+                yield GraphSeparation(canon, all_edges - canon, bnd, len(bnd))
 
 
 def blocks(g: MultiGraph) -> list[EdgeSubset]:
@@ -443,24 +429,6 @@ def blocks(g: MultiGraph) -> list[EdgeSubset]:
                             break
                     out.append(frozenset(blk))
     return out
-
-
-def is_matroid_dual_pair(
-    g: MultiGraph, h: MultiGraph, bijection: Mapping[int, int]
-) -> bool:
-    """True when the bijection maps complements of bases of M(G) onto bases of M(H).
-
-    Brute force over spanning forests; intended for reference-sized graphs.
-    """
-    ge, he = g.edge_ids(), h.edge_ids()
-    if set(bijection) != set(ge) or set(bijection.values()) != set(he):
-        return False
-    if len(ge) != len(he):
-        return False
-    g_bases = set(_spanning_forests(g))
-    h_bases = set(_spanning_forests(h))
-    mapped = {frozenset(bijection[e] for e in ge - t) for t in g_bases}
-    return mapped == h_bases
 
 
 def _adjacency_counts(g: MultiGraph) -> dict[int, dict[int, int]]:

@@ -14,8 +14,10 @@ I and J, the Dodgson polynomial is
     P(I,J;K) = det M(I,J)_K
 
 obtained by striking rows I, columns J, and zeroing the diagonal entries of K.
-Dodgson polynomials depend on the chosen edge order, orientations, and removed
-vertex only up to a global sign.
+Dodgson polynomials depend on the edge order, the orientations and the
+struck vertex only up to a global sign.  Every polynomial here uses one
+matrix: edges ascending by id, each edge oriented from its stored lower
+endpoint to its higher one, and the highest vertex's column struck.
 
 Everything here is exact integer arithmetic; determinants use fraction-free
 Bareiss elimination over the polynomial ring, and an independent expansion
@@ -32,44 +34,6 @@ from typing import Sequence
 from .graph_core import MultiGraph, _int_det, spanning_trees
 from .matroid import GraphicMatroid, MinorOracle, common_completion_exists
 from .poly import MultiPoly, divexact
-
-
-@dataclass(frozen=True)
-class MatrixConvention:
-    """Everything the expanded Laplacian depends on.
-
-    edge_order: all edge ids, the row/column order of the edge block.
-    orientations: (edge, tail, head) per edge; the incidence column gets +1 at
-    the tail and -1 at the head.
-    removed_vertex: the vertex whose column is struck from the incidence.
-    """
-
-    edge_order: tuple[int, ...]
-    orientations: tuple[tuple[int, int, int], ...]
-    removed_vertex: int
-
-    def orientation_map(self) -> dict[int, tuple[int, int]]:
-        return {e: (t, h) for e, t, h in self.orientations}
-
-
-def default_convention(g: MultiGraph) -> MatrixConvention:
-    """Edges ascending by id, orientation low -> high endpoint, highest vertex removed."""
-    if g.n == 0:
-        raise ValueError("convention needs at least one vertex")
-    order = tuple(sorted(g.edges))
-    orient = tuple((e, g.edges[e][0], g.edges[e][1]) for e in order)
-    return MatrixConvention(order, orient, max(g.vertices))
-
-
-def validate_convention(g: MultiGraph, conv: MatrixConvention) -> None:
-    if sorted(conv.edge_order) != sorted(g.edges):
-        raise ValueError("convention edge order does not match the graph")
-    omap = conv.orientation_map()
-    for e, (u, v) in g.edges.items():
-        if e not in omap or set(omap[e]) != ({u, v} if u != v else {u}):
-            raise ValueError(f"convention orientation for edge {e} is inconsistent")
-    if conv.removed_vertex not in g.vertices:
-        raise ValueError("removed vertex is not a vertex of the graph")
 
 
 @dataclass(frozen=True)
@@ -133,27 +97,32 @@ def _poly_det(mat: list[list[MultiPoly]]) -> MultiPoly:
     return det.negate() if sign < 0 else det
 
 
-def _incidence_entry(conv_tail: int, conv_head: int, w: int) -> int:
-    if conv_tail == conv_head:
+def _incidence_entry(tail: int, head: int, w: int) -> int:
+    if tail == head:
         return 0
-    if w == conv_tail:
+    if w == tail:
         return 1
-    if w == conv_head:
+    if w == head:
         return -1
     return 0
 
 
-def _dodgson_matrix(
-    g: MultiGraph, spec: DodgsonSpec, conv: MatrixConvention
-) -> list[list[MultiPoly]]:
-    omap = conv.orientation_map()
-    vcols = [v for v in sorted(g.vertices) if v != conv.removed_vertex]
-    rows = [e for e in conv.edge_order if e not in spec.i_set]
-    cols = [e for e in conv.edge_order if e not in spec.j_set]
+def _incidence_columns(g: MultiGraph) -> list[int]:
+    """The incidence columns: every vertex but the struck highest one, ascending."""
+    if g.n == 0:
+        raise ValueError("convention needs at least one vertex")
+    return sorted(g.vertices)[:-1]
+
+
+def _dodgson_matrix(g: MultiGraph, spec: DodgsonSpec) -> list[list[MultiPoly]]:
+    vcols = _incidence_columns(g)
+    edges = sorted(g.edges)
+    rows = [e for e in edges if e not in spec.i_set]
+    cols = [e for e in edges if e not in spec.j_set]
     zero = MultiPoly.zero()
     mat: list[list[MultiPoly]] = []
     for e in rows:
-        t, h = omap[e]
+        t, h = g.edges[e]
         row = []
         for f in cols:
             if e == f and e not in spec.k_set:
@@ -167,7 +136,7 @@ def _dodgson_matrix(
     for w in vcols:
         row = []
         for f in cols:
-            t, h = omap[f]
+            t, h = g.edges[f]
             c = -_incidence_entry(t, h, w)
             row.append(MultiPoly.const(c) if c else zero)
         row.extend(zero for _ in vcols)
@@ -175,14 +144,10 @@ def _dodgson_matrix(
     return mat
 
 
-def dodgson(
-    g: MultiGraph, spec: DodgsonSpec, convention: MatrixConvention | None = None
-) -> MultiPoly:
+def dodgson(g: MultiGraph, spec: DodgsonSpec) -> MultiPoly:
     """Dodgson polynomial by symbolic determinant; multilinear by construction."""
     spec.validate(g)
-    conv = convention or default_convention(g)
-    validate_convention(g, conv)
-    det = _poly_det(_dodgson_matrix(g, spec, conv))
+    det = _poly_det(_dodgson_matrix(g, spec))
     if det.max_exponent() > 1:
         raise RuntimeError("Dodgson polynomial must be multilinear")
     if det.variables() & (spec.i_set | spec.j_set | spec.k_set):
@@ -190,9 +155,7 @@ def dodgson(
     return det
 
 
-def dodgson_via_trees(
-    g: MultiGraph, spec: DodgsonSpec, convention: MatrixConvention | None = None
-) -> MultiPoly:
+def dodgson_via_trees(g: MultiGraph, spec: DodgsonSpec) -> MultiPoly:
     """Dodgson polynomial by expansion over spanning trees; matches dodgson exactly.
 
     Expanding det M(I,J)_K multilinearly in the edge variables, the monomial
@@ -205,12 +168,10 @@ def dodgson_via_trees(
     E - J, and X[T] the tree-rows incidence minor (determinant +-1).
     """
     spec.validate(g)
-    conv = convention or default_convention(g)
-    validate_convention(g, conv)
-    omap = conv.orientation_map()
-    vcols = [v for v in sorted(g.vertices) if v != conv.removed_vertex]
-    rows = [e for e in conv.edge_order if e not in spec.i_set]
-    cols = [e for e in conv.edge_order if e not in spec.j_set]
+    vcols = _incidence_columns(g)
+    edges = sorted(g.edges)
+    rows = [e for e in edges if e not in spec.i_set]
+    cols = [e for e in edges if e not in spec.j_set]
     rowpos = {e: i for i, e in enumerate(rows)}
     colpos = {e: i for i, e in enumerate(cols)}
     all_edges = g.edge_ids()
@@ -219,7 +180,7 @@ def dodgson_via_trees(
     for t in spanning_trees(g):
         order = sorted(t)
         mat = [
-            [_incidence_entry(*omap[e], w) for w in vcols]
+            [_incidence_entry(*g.edges[e], w) for w in vcols]
             for e in order
         ]
         tree_sign[t] = _int_det(mat)
@@ -246,21 +207,17 @@ def dodgson_via_trees(
     return out
 
 
-def kirchhoff_poly(
-    g: MultiGraph, convention: MatrixConvention | None = None
-) -> MultiPoly:
+def kirchhoff_poly(g: MultiGraph) -> MultiPoly:
     """Kirchhoff polynomial: sum over spanning trees of the complement monomials.
 
     Computed both as a symbolic determinant and as the explicit tree sum; the
     two must agree exactly after normalising the determinant sign positive.
     """
-    conv = convention or default_convention(g)
-    validate_convention(g, conv)
     by_trees = MultiPoly.zero()
     all_edges = g.edge_ids()
     for t in spanning_trees(g):
         by_trees = by_trees + MultiPoly.monomial(all_edges - t)
-    by_det = dodgson(g, DodgsonSpec(frozenset(), frozenset(), frozenset()), conv)
+    by_det = dodgson(g, DodgsonSpec(frozenset(), frozenset(), frozenset()))
     by_det = by_det.sign_normalised()
     if by_det != by_trees:
         raise RuntimeError("determinant and tree-sum routes disagree")
@@ -304,14 +261,10 @@ def thirty_specs(g: MultiGraph, config: Sequence[int] | frozenset[int]) -> list[
 
 
 def thirty_dodgsons(
-    g: MultiGraph,
-    config: Sequence[int] | frozenset[int],
-    convention: MatrixConvention | None = None,
+    g: MultiGraph, config: Sequence[int] | frozenset[int]
 ) -> list[tuple[DodgsonSpec, MultiPoly]]:
     """The 30 Dodgson polynomials of a 5-edge configuration, in `thirty_specs` order."""
-    specs = thirty_specs(g, config)
-    conv = convention or default_convention(g)
-    return [(spec, dodgson(g, spec, conv)) for spec in specs]
+    return [(spec, dodgson(g, spec)) for spec in thirty_specs(g, config)]
 
 
 def dodgson_vanishes(g: MultiGraph, spec: DodgsonSpec) -> bool:
@@ -331,11 +284,7 @@ def dodgson_vanishes(g: MultiGraph, spec: DodgsonSpec) -> bool:
     return not common_completion_exists(base, k | (j - i), k | (i - j), g.n - 1)
 
 
-def five_invariant(
-    g: MultiGraph,
-    edges_ordered: Sequence[int],
-    convention: MatrixConvention | None = None,
-) -> MultiPoly:
+def five_invariant(g: MultiGraph, edges_ordered: Sequence[int]) -> MultiPoly:
     """The 5-invariant of an ordered 5-tuple of edges, sign-normalised.
 
     With edges (e1,...,e5),
@@ -343,18 +292,20 @@ def five_invariant(
         P({e1,e2},{e3,e4};{e5}) * P({e1,e3,e5},{e2,e4,e5})
       - P({e1,e3},{e2,e4};{e5}) * P({e1,e2,e5},{e3,e4,e5})
 
-    which is independent of the ordering and of the matrix convention up to
-    overall sign; the representative with positive leading coefficient is
-    returned.
+    with every P read off the module's one matrix: edges ascending by id, each
+    edge oriented from its lower endpoint to its higher one, the highest
+    vertex's column struck.  Another ordering or another matrix changes the
+    result only by an overall sign; the representative with positive leading
+    coefficient is returned.
     """
     es = list(edges_ordered)
     if len(es) != 5 or len(set(es)) != 5:
         raise ValueError("need five distinct edges")
     e1, e2, e3, e4, e5 = es
-    conv = convention or default_convention(g)
+    _incidence_columns(g)  # refuse a graph with no vertex before naming its edges
 
     def dd(i_set: set[int], j_set: set[int], k_set: set[int]) -> MultiPoly:
-        return dodgson(g, DodgsonSpec(frozenset(i_set), frozenset(j_set), frozenset(k_set)), conv)
+        return dodgson(g, DodgsonSpec(frozenset(i_set), frozenset(j_set), frozenset(k_set)))
 
     term1 = dd({e1, e2}, {e3, e4}, {e5}) * dd({e1, e3, e5}, {e2, e4, e5}, set())
     term2 = dd({e1, e3}, {e2, e4}, {e5}) * dd({e1, e2, e5}, {e3, e4, e5}, set())

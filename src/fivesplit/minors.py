@@ -81,9 +81,7 @@ def _check_host_size(host: MultiGraph) -> None:
         )
 
 
-def _minor_search(
-    host: MultiGraph, pattern: MultiGraph, roots: Mapping[int, int] | None
-) -> bool:
+def _minor_search(host: MultiGraph, pattern: MultiGraph) -> bool:
     if pattern.n == 0:
         return True
     _check_host_size(host)
@@ -131,15 +129,6 @@ def _minor_search(
         ]
         for i in range(len(order))
     ]
-    root_bits = {}
-    if roots is not None:
-        for pv, hv in roots.items():
-            if pv not in pattern.vertices or hv not in host.vertices:
-                raise ValueError("root map names unknown vertices")
-            root_bits[pv] = 1 << hidx[hv]
-        if len(set(roots.values())) != len(roots):
-            raise ValueError("root map must be injective")
-
     total = len(order)
 
     def edges_between(a: int, b: int) -> int:
@@ -159,14 +148,11 @@ def _minor_search(
     def place(i: int, used: int, chosen: list[int]) -> bool:
         if i == total:
             return True
-        must = root_bits.get(order[i], 0)
         free = len(hverts) - used.bit_count()
         if free < total - i:
             return False
         for mask, reach in conn:
             if mask & used:
-                continue
-            if must and not mask & must:
                 continue
             for j, k in needs[i]:
                 other = chosen[j]
@@ -297,20 +283,10 @@ def has_minor(host: MultiGraph, pattern: MultiGraph | MinorPattern) -> bool:
     elif _one_block(pg):
         hosts = _blocks_as_graphs(host, pg.n, pg.m)
     else:
-        return _minor_search(host, pg, None)
+        return _minor_search(host, pg)
     for h in hosts:
         _check_host_size(h)
-    return any(_minor_search(h, pg, None) for h in hosts)
-
-
-def has_rooted_minor(
-    host: MultiGraph, pattern: MultiGraph | MinorPattern, root_map: Mapping[int, int]
-) -> bool:
-    """Minor containment with prescribed host vertices inside given branch sets."""
-    pg = pattern.graph if isinstance(pattern, MinorPattern) else pattern
-    if any(u == v for u, v in pg.edges.values()):
-        raise ValueError("patterns must be loopless")
-    return _minor_search(host, pg, dict(root_map))
+    return any(_minor_search(h, pg) for h in hosts)
 
 
 # The forbidden five, in the order minor-check --f0 reports them.
@@ -521,27 +497,6 @@ def enhanced_children(eg: EnhancedGraph) -> Iterator[tuple[str, EnhancedGraph]]:
             )
 
 
-def enhanced_has_minor(eg: EnhancedGraph, target: EnhancedGraph) -> bool:
-    """Is target reachable from eg by reduction steps (including zero steps)?"""
-    t_key = canonical_form(target)
-    t_m, t_n, t_w = target.graph.m, target.graph.n, target.weight
-    seen: set[tuple] = set()
-    stack = [eg]
-    while stack:
-        cur = stack.pop()
-        if cur.graph.m < t_m or cur.graph.n < t_n or cur.weight < t_w:
-            continue
-        key = canonical_form(cur)
-        if key in seen:
-            continue
-        seen.add(key)
-        if key == t_key:
-            return True
-        for _, child in enhanced_children(cur):
-            stack.append(child)
-    return False
-
-
 # -- catalog entries and their file format ------------------------------------
 
 
@@ -651,12 +606,12 @@ def family_label(g: MultiGraph) -> str:
 def find_dual_bijection(
     g: MultiGraph,
     h: MultiGraph,
-    tags_g: Mapping[int, object] | None = None,
-    tags_h: Mapping[int, object] | None = None,
+    tags_g: Mapping[int, object],
+    tags_h: Mapping[int, object],
 ) -> dict[int, int] | None:
     """Edge bijection mapping tree complements of g onto trees of h, or None.
 
-    Optional tags must correspond under the bijection (callers encode the
+    Tags must correspond under the bijection (callers encode the
     protection swap there).  Candidates are pruned by tree-count invariants:
     an edge in a(e) trees of g must map to an edge in N - a(e) trees of h, and
     pair counts transform as q(f, f') = N - b(f) - b(f') + both(f, f').
@@ -697,12 +652,8 @@ def find_dual_bijection(
     }
     for e in he:
         qh[(e, e)] = n_trees - b[e]
-    key_g: dict[int, object] = {
-        e: (a[e], None if tags_g is None else tags_g.get(e)) for e in ge
-    }
-    key_h: dict[int, object] = {
-        f: (n_trees - b[f], None if tags_h is None else tags_h.get(f)) for f in he
-    }
+    key_g: dict[int, object] = {e: (a[e], tags_g.get(e)) for e in ge}
+    key_h: dict[int, object] = {f: (n_trees - b[f], tags_h.get(f)) for f in he}
     for _ in range(2):
         nxt_g = {
             e: (key_g[e], tuple(sorted((repr(key_g[f]), pg[(e, f)]) for f in ge if f != e)))

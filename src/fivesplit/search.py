@@ -420,8 +420,8 @@ def find_minimal_nonsplit(cfg: SearchConfig) -> list[CatalogEntry]:
         found_by_host = {g.key(): f for g in hosts if (f := ck.get(g)) is not None}
     pending = [g for g in hosts if g.key() not in found_by_host]
     args = [(*_host_wire(g), cfg.include_plain) for g in pending]
-    use_pool = cfg.jobs > 1 and pending
-    with multiprocessing.Pool(cfg.jobs) if use_pool else contextlib.nullcontext() as pool:
+    workers = min(cfg.jobs, len(pending))
+    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for g, found in zip(pending, (pool.imap if pool else map)(_host_worker, args)):
             found_by_host[g.key()] = found
             if ck is not None:

@@ -8,16 +8,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from fivesplit.graph_core import (
+    EdgeSubset,
     MultiGraph,
     boundary,
+    connected_components,
     contract_edge,
     delete_edge,
     find_isomorphism,
+    induced_subgraph,
     is_k_connected,
     pieces,
+    spanning_trees,
 )
 from fivesplit.kirchhoff import five_invariant
 from fivesplit.matroid import RankOracle
@@ -53,6 +57,53 @@ def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> b
             return True
     _seen.add(key)
     return False
+
+
+def enhanced_has_minor(eg: EnhancedGraph, target: EnhancedGraph) -> bool:
+    """Is target reachable from eg by reduction steps (including zero steps)?"""
+    t_key = canonical_form(target)
+    t_m, t_n, t_w = target.graph.m, target.graph.n, target.weight
+    seen: set[tuple] = set()
+    stack = [eg]
+    while stack:
+        cur = stack.pop()
+        if cur.graph.m < t_m or cur.graph.n < t_n or cur.weight < t_w:
+            continue
+        key = canonical_form(cur)
+        if key in seen:
+            continue
+        seen.add(key)
+        if key == t_key:
+            return True
+        for _, child in enhanced_children(cur):
+            stack.append(child)
+    return False
+
+
+def _spanning_forests(g: MultiGraph) -> Iterator[EdgeSubset]:
+    """Bases of the graphic matroid: one spanning tree per component, unioned."""
+    comps = connected_components(g)
+    per_comp = [list(spanning_trees(induced_subgraph(g, c))) for c in comps]
+    for choice in itertools.product(*per_comp):
+        yield frozenset().union(*choice) if choice else frozenset()
+
+
+def is_matroid_dual_pair(
+    g: MultiGraph, h: MultiGraph, bijection: Mapping[int, int]
+) -> bool:
+    """True when the bijection maps complements of bases of M(G) onto bases of M(H).
+
+    Brute force over spanning forests; intended for reference-sized graphs.
+    """
+    ge, he = g.edge_ids(), h.edge_ids()
+    if set(bijection) != set(ge) or set(bijection.values()) != set(he):
+        return False
+    if len(ge) != len(he):
+        return False
+    g_bases = set(_spanning_forests(g))
+    h_bases = set(_spanning_forests(h))
+    mapped = {frozenset(bijection[e] for e in ge - t) for t in g_bases}
+    return mapped == h_bases
 
 
 # `search._three_connected_census` without its degree-order pruning: it grows

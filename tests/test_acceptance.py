@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fivesplit.graph_core import MultiGraph, is_matroid_dual_pair
+from fivesplit.graph_core import MultiGraph
 from fivesplit.kirchhoff import (
     DodgsonSpec,
     dodgson,
@@ -25,7 +25,6 @@ from fivesplit.kirchhoff import (
 from fivesplit.matroid import GraphicMatroid, caterpillar_width, common_tree_exists
 from fivesplit.minors import (
     enhanced_children,
-    enhanced_has_minor,
     f0_free,
     parse_catalog,
 )
@@ -48,6 +47,7 @@ from fivesplit.splitting import (
     graph_splits,
 )
 from fivesplit.width import graph_width, has_width_le
+from oracles import enhanced_has_minor, is_matroid_dual_pair
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "catalog_max11.txt"
 

@@ -93,6 +93,15 @@ def test_dodgson_rejects_bad_edge_list(tmp_path, capsys):
     assert "bad edge list" in err
 
 
+def test_polynomials_of_a_graph_with_no_vertex_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n", encoding="utf-8")
+    for argv in (("psi",), ("dodgson", "--i", "", "--j", ""),
+                 ("five-invariant", "--edges", "1,2,3,4,5")):
+        code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", "error: convention needs at least one vertex\n")
+
+
 def test_five_invariant_command(tmp_path, capsys):
     path = _graph_file(tmp_path, "w5.txt", wheel(5))
     code, payload, _ = _run_json(capsys, "five-invariant", path, "--edges", "1,3,5,7,9")

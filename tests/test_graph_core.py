@@ -26,7 +26,6 @@ from fivesplit.graph_core import (
     from_graph6,
     is_connected,
     is_k_connected,
-    is_matroid_dual_pair,
     is_proper,
     load_graph,
     parse_graph_text,
@@ -48,6 +47,7 @@ from fivesplit.named_graphs import (
     wheel,
 )
 from builders import FUZZ_GRAPH_TEXT, cycle_prism
+from oracles import is_matroid_dual_pair
 
 
 def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:

@@ -25,13 +25,11 @@ from fivesplit.minors import (
     canonical_graph_key,
     canonical_labeling,
     enhanced_children,
-    enhanced_has_minor,
     f0,
     f0_free,
     family_label,
     find_dual_bijection,
     has_minor,
-    has_rooted_minor,
     parse_catalog,
     render_catalog,
 )
@@ -52,7 +50,7 @@ from fivesplit.named_graphs import (
 from fivesplit.search import SearchConfig, build_catalog, enumerate_underlying
 from fivesplit.splitting import EnhancedGraph, plain
 from builders import K4_CATALOG_LINE, chain_of_k4s, cycle_prism, subdivided
-from oracles import _has_minor_recursive
+from oracles import _has_minor_recursive, enhanced_has_minor, is_matroid_dual_pair
 
 
 def test_basic_minor_facts():
@@ -60,6 +58,7 @@ def test_basic_minor_facts():
     assert has_minor(h_graph(), complete_graph(4))
     assert has_minor(complete_graph(5), complete_graph(4))
     assert has_minor(cube(), cube())
+    assert has_minor(cube(), complete_graph(4))
     assert has_minor(octahedron(), complete_graph(4))
     assert not has_minor(complete_graph(4), complete_graph(5))
     assert has_minor(cycle_graph(5), complete_graph(3))
@@ -71,6 +70,7 @@ def test_minor_respects_multiplicities():
     double = MultiGraph([0, 1], {1: (0, 1), 2: (0, 1)})
     single_host = path_graph(3)
     assert not has_minor(single_host, double)
+    assert not has_minor(path_graph(4), double)
     assert has_minor(cycle_graph(4), double)
 
 
@@ -105,23 +105,6 @@ def test_recursive_oracle_agrees_on_census_hosts():
                 assert has_minor(g, p) == _has_minor_recursive(g, p.graph)
 
 
-def test_rooted_minor_respects_roots():
-    path = path_graph(4)  # a - b - c - d with edges 1, 2, 3
-    pattern = path_graph(3)  # u - v - w
-    assert has_rooted_minor(path, pattern, {0: 0, 2: 3})
-    # pinning the endpoints of the pattern path to the middle of the host path
-    # leaves nowhere for the middle branch set
-    assert not has_rooted_minor(path, pattern, {0: 1, 2: 2})
-    assert has_rooted_minor(cube(), complete_graph(4), {})
-
-
-def test_rooted_minor_multiplicity():
-    double = MultiGraph([0, 1], {1: (0, 1), 2: (0, 1)})
-    c4 = cycle_graph(4)
-    assert has_rooted_minor(c4, double, {0: 0, 1: 1})
-    assert not has_rooted_minor(path_graph(3), double, {0: 0, 1: 2})
-
-
 # -- the reduced-block search -------------------------------------------------
 
 _DOUBLE_EDGE = MultiGraph([0, 1], {1: (0, 1), 2: (0, 1)})
@@ -148,7 +131,7 @@ def _two_sum(g: MultiGraph, h: MultiGraph) -> MultiGraph:
 def _assert_routes_agree(host: MultiGraph, pattern: MultiGraph) -> bool:
     """has_minor against the unreduced search, and against the recursive oracle
     where the pattern is simple and the recursion is short."""
-    want = _minor_search(host, pattern, None)
+    want = _minor_search(host, pattern)
     assert has_minor(host, pattern) == want
     simple = len(set(pattern.edges.values())) == pattern.m
     if simple and _simplified(host).m - pattern.m <= 4:
@@ -171,14 +154,6 @@ def test_patterns_outside_the_reduction_keep_their_answers():
     assert has_minor(_K4_PENDANT, _K4_PENDANT)
     assert has_minor(_glued(complete_graph(4), complete_graph(4), {0: 3}),
                      _glued(complete_graph(4), complete_graph(4), {0: 3}))
-
-
-def test_rooted_minor_keeps_the_whole_host():
-    # vertex 4 subdivides edge 0-1 of K4; the reduction would suppress it
-    sub_k4 = MultiGraph(range(5), {**complete_graph(4).edges, 1: (0, 4), 7: (1, 4)})
-    assert has_rooted_minor(sub_k4, complete_graph(4), {0: 4})
-    assert has_rooted_minor(_K4_PENDANT, complete_graph(4), {3: 4})
-    assert not has_rooted_minor(_K4_PENDANT, complete_graph(4), {0: 4, 3: 3})
 
 
 @st.composite
@@ -269,14 +244,14 @@ def test_f0_graphs_survive_two_sums_and_subdivisions():
         once = subdivided(p.graph, 1)
         assert has_minor(once, p)
         if once.n <= 16:
-            assert _minor_search(once, p.graph, None)
+            assert _minor_search(once, p.graph)
 
 
 def test_large_hosts_with_small_reduced_blocks_get_answers():
     chain = chain_of_k4s(6)
     assert chain.n == 19
     with pytest.raises(ValueError, match="at most 16 vertices"):
-        _minor_search(chain, complete_graph(4), None)
+        _minor_search(chain, complete_graph(4))
     assert has_minor(chain, complete_graph(4))
     assert not has_minor(chain, complete_graph(5))
     assert f0_free(chain)
@@ -320,7 +295,7 @@ def test_one_block_patterns_are_found_in_the_blocks_of_large_hosts():
         assert has_minor(chain, pattern) == found
         for count in (1, 2):
             small = chain_of_k4s(count)
-            assert has_minor(small, pattern) == _minor_search(small, pattern, None) == found
+            assert has_minor(small, pattern) == _minor_search(small, pattern) == found
             if len(set(pattern.edges.values())) == pattern.m:
                 assert _has_minor_recursive(small, pattern) == found
     # a pendant edge, a second component or an isolated vertex keeps the
@@ -540,14 +515,12 @@ def test_family_labels():
 
 
 def test_dual_bijection_cube_octahedron():
-    bij = find_dual_bijection(cube(), octahedron())
+    bij = find_dual_bijection(cube(), octahedron(), {}, {})
     assert bij is not None
-    from fivesplit.graph_core import is_matroid_dual_pair
-
     assert is_matroid_dual_pair(cube(), octahedron(), bij)
-    assert find_dual_bijection(wheel(4), wheel(4)) is not None
-    assert find_dual_bijection(cube(), cube()) is None
-    assert find_dual_bijection(complete_graph(4), complete_graph(4)) is not None
+    assert find_dual_bijection(wheel(4), wheel(4), {}, {}) is not None
+    assert find_dual_bijection(cube(), cube(), {}, {}) is None
+    assert find_dual_bijection(complete_graph(4), complete_graph(4), {}, {}) is not None
 
 
 def test_dual_bijection_respects_tags():

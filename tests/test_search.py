@@ -187,6 +187,28 @@ def test_parallel_search_is_deterministic():
     assert render_catalog(a) == render_catalog(b)
 
 
+def test_pool_has_no_more_workers_than_pending_hosts(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(search_module.multiprocessing, "Pool", SerialPool)
+    wide = find_minimal_nonsplit(SearchConfig(max_edges=8, jobs=64))
+    assert sizes == [2]
+    assert render_catalog(wide) == render_catalog(find_minimal_nonsplit(SearchConfig(max_edges=8)))
+
+
 def test_build_catalog_injects_plain_members():
     entries = build_catalog(SearchConfig(max_edges=9))
     plain_entries = [
@@ -250,12 +272,13 @@ def test_resumed_run_recomputes_no_host(tmp_path, monkeypatch):
 
 def test_truncated_checkpoint_resumes_in_parallel(tmp_path):
     path = tmp_path / "progress.jsonl"
-    fresh = find_minimal_nonsplit(SearchConfig(max_edges=8))
-    find_minimal_nonsplit(SearchConfig(max_edges=8, checkpoint=path))
+    fresh = find_minimal_nonsplit(SearchConfig(max_edges=9))
+    find_minimal_nonsplit(SearchConfig(max_edges=9, checkpoint=path))
     header, *hosts = path.read_text(encoding="utf-8").splitlines()
-    assert len(hosts) > 1
+    # at least two hosts are left to run, so the resumed run opens a pool
+    assert len(hosts) - len(hosts) // 2 >= 2
     path.write_text("\n".join([header, *hosts[: len(hosts) // 2]]) + "\n", encoding="utf-8")
-    resumed = find_minimal_nonsplit(SearchConfig(max_edges=8, jobs=2, checkpoint=path))
+    resumed = find_minimal_nonsplit(SearchConfig(max_edges=9, jobs=2, checkpoint=path))
     assert render_catalog(resumed) == render_catalog(fresh)
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + len(hosts)
 
