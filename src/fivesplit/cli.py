@@ -14,6 +14,7 @@ emits one object with ``"schema": 1``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -314,7 +315,9 @@ def _cmd_verify_catalog(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it holds no state of a run."""
     top = argparse.ArgumentParser(prog="fivesplit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

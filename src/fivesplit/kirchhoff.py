@@ -53,48 +53,63 @@ class DodgsonSpec:
             raise ValueError("K must be disjoint from I and J")
 
 
-def _poly_det(mat: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free Bareiss determinant with full pivoting.
+def _poly_det(rows: list[dict[int, MultiPoly]]) -> MultiPoly:
+    """Determinant of a square matrix given by its sparse rows: fraction-free
+    Bareiss elimination (Bareiss, Math. Comp. 1968) with full pivoting.
 
+    Row i maps column j to the nonzero entry M[i][j]; columns are 0..n-1.
     Pivots prefer entries with few terms and low degree, which keeps the
     arithmetic on the integer constants of the incidence blocks for as long as
-    possible.  Row and column swaps each flip the sign.
+    possible.  Eliminating the pivot at the r-th live row and c-th live column
+    contributes (-1)^(r+c) to the sign.  A row with no entry in the pivot
+    column is only rescaled by pivot / previous pivot, and left as it is when
+    the two are equal; every other update skips the entries that are
+    structurally zero.
     """
-    n = len(mat)
-    if n == 0:
-        return MultiPoly.const(1)
-    m = [row[:] for row in mat]
+    n = len(rows)
+    live_rows = list(range(n))
+    live_cols = list(range(n))
+    m = [dict(row) for row in rows]
     sign = 1
-    prev = MultiPoly.const(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            for j in range(k, n):
-                p = m[i][j]
-                if p.is_zero():
-                    continue
+    prev = pivot = MultiPoly.const(1)
+    while live_rows:
+        best = None
+        for i in live_rows:
+            for j, p in m[i].items():
                 lead_mono, lead_c = p.leading()
                 score = (len(p.terms), sum(e for _, e in lead_mono), abs(lead_c), i, j)
-                if pivot is None or score < pivot[0]:
-                    pivot = (score, i, j)
-        if pivot is None:
+                if best is None or score < best:
+                    best = score
+            if best is not None and best[:3] == (1, 0, 1):
+                break  # a constant +-1; no later row can beat it
+        if best is None:
             return MultiPoly.zero()
-        _, pi, pj = pivot
-        if pi != k:
-            m[k], m[pi] = m[pi], m[k]
+        pi, pj = best[3], best[4]
+        if (live_rows.index(pi) + live_cols.index(pj)) & 1:
             sign = -sign
-        if pj != k:
-            for row in m:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        if k == n - 1:
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = divexact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det.negate() if sign < 0 else det
+        live_rows.remove(pi)
+        live_cols.remove(pj)
+        pivot_row = m[pi]
+        pivot = pivot_row.pop(pj)
+        same = pivot == prev
+        for i in live_rows:
+            row = m[i]
+            a = row.pop(pj, None)
+            if a is None:
+                if not same:
+                    for j, x in row.items():
+                        row[j] = divexact(x * pivot, prev)
+                continue
+            for j, y in pivot_row.items():
+                x = row.pop(j, None)
+                q = divexact((x * pivot if x is not None else MultiPoly.zero()) - a * y, prev)
+                if q:
+                    row[j] = q
+            for j, x in row.items():
+                if j not in pivot_row:
+                    row[j] = divexact(x * pivot, prev)
+        prev = pivot
+    return pivot.negate() if sign < 0 else pivot
 
 
 def _incidence_entry(tail: int, head: int, w: int) -> int:
@@ -114,32 +129,32 @@ def _incidence_columns(g: MultiGraph) -> list[int]:
     return sorted(g.vertices)[:-1]
 
 
-def _dodgson_matrix(g: MultiGraph, spec: DodgsonSpec) -> list[list[MultiPoly]]:
+def _dodgson_matrix(g: MultiGraph, spec: DodgsonSpec) -> list[dict[int, MultiPoly]]:
+    """The sparse rows of M(I,J)_K: edge rows E - I, then the incidence rows;
+    edge columns E - J, then the incidence columns."""
     vcols = _incidence_columns(g)
     edges = sorted(g.edges)
     rows = [e for e in edges if e not in spec.i_set]
     cols = [e for e in edges if e not in spec.j_set]
-    zero = MultiPoly.zero()
-    mat: list[list[MultiPoly]] = []
+    colpos = {f: c for c, f in enumerate(cols)}
+    vpos = [(w, len(cols) + c) for c, w in enumerate(vcols)]
+    mat: list[dict[int, MultiPoly]] = []
     for e in rows:
         t, h = g.edges[e]
-        row = []
-        for f in cols:
-            if e == f and e not in spec.k_set:
-                row.append(MultiPoly.variable(e))
-            else:
-                row.append(zero)
-        for w in vcols:
-            c = _incidence_entry(t, h, w)
-            row.append(MultiPoly.const(c) if c else zero)
+        row = {}
+        if e in colpos and e not in spec.k_set:
+            row[colpos[e]] = MultiPoly.variable(e)
+        for w, c in vpos:
+            x = _incidence_entry(t, h, w)
+            if x:
+                row[c] = MultiPoly.const(x)
         mat.append(row)
     for w in vcols:
-        row = []
-        for f in cols:
-            t, h = g.edges[f]
-            c = -_incidence_entry(t, h, w)
-            row.append(MultiPoly.const(c) if c else zero)
-        row.extend(zero for _ in vcols)
+        row = {}
+        for f, c in colpos.items():
+            x = -_incidence_entry(*g.edges[f], w)
+            if x:
+                row[c] = MultiPoly.const(x)
         mat.append(row)
     return mat
 

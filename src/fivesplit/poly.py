@@ -32,6 +32,20 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _div_monomials(a: Monomial, b: Monomial) -> Monomial:
+    """a / b; raises ArithmeticError unless b divides a."""
+    exps: dict[int, int] = dict(a)
+    for v, e in b:
+        ne = exps.get(v, 0) - e
+        if ne < 0:
+            raise ArithmeticError("inexact polynomial division (monomial)")
+        if ne:
+            exps[v] = ne
+        else:
+            del exps[v]
+    return tuple(sorted(exps.items()))
+
+
 class MultiPoly:
     """Immutable-by-convention sparse polynomial over the integers."""
 
@@ -124,6 +138,8 @@ class MultiPoly:
         """Leading (monomial, coefficient) in graded lex order; zero poly raises."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
+        if len(self.terms) == 1:
+            return next(iter(self.terms.items()))
         m = min(self.terms, key=_monomial_key)
         return m, self.terms[m]
 
@@ -225,23 +241,20 @@ def divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return MultiPoly()
     dm, dc = d.leading()
-    dvars = dict(dm)
     quotient: dict[Monomial, int] = {}
+    if len(d.terms) == 1:
+        # one-term divisor: divide term by term
+        for m, c in p.terms.items():
+            if c % dc:
+                raise ArithmeticError("inexact polynomial division (coefficient)")
+            quotient[_div_monomials(m, dm) if dm else m] = c // dc
+        return MultiPoly(quotient)
     r = p
     while not r.is_zero():
         rm, rc = r.leading()
         if rc % dc:
             raise ArithmeticError("inexact polynomial division (coefficient)")
-        exps = dict(rm)
-        for v, e in dvars.items():
-            ne = exps.get(v, 0) - e
-            if ne < 0:
-                raise ArithmeticError("inexact polynomial division (monomial)")
-            if ne:
-                exps[v] = ne
-            else:
-                exps.pop(v, None)
-        qm = tuple(sorted(exps.items()))
+        qm = _div_monomials(rm, dm)
         qc = rc // dc
         quotient[qm] = quotient.get(qm, 0) + qc
         r = r - MultiPoly({qm: qc}) * d

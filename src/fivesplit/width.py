@@ -66,7 +66,8 @@ def graph_width(g: MultiGraph) -> tuple[int, tuple[int, ...]]:
     full = (1 << m) - 1
     f = [0] * (full + 1)
     parent = [-1] * (full + 1)
-    for mask in sorted(range(1, full + 1), key=lambda b: b.bit_count()):
+    # mask & ~(1 << i) < mask, so ascending order fills every subset first
+    for mask in range(1, full + 1):
         o = _order_of_mask(mask, full, vmasks)
         if mask & (mask - 1) == 0:
             f[mask] = o

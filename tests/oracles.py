@@ -26,6 +26,7 @@ from fivesplit.graph_core import (
 from fivesplit.kirchhoff import five_invariant
 from fivesplit.matroid import RankOracle
 from fivesplit.minors import _simplified, canonical_form, enhanced_children
+from fivesplit.poly import MultiPoly
 from fivesplit.search import _canonical_rep, _IsoDedupe
 from fivesplit.splitting import (
     EnhancedGraph,
@@ -36,6 +37,7 @@ from fivesplit.splitting import (
     from_enhanced,
     to_enhanced,
 )
+from fivesplit.width import _bit_setup, _order_of_mask
 
 
 def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> bool:
@@ -344,3 +346,40 @@ def rank_axioms_hold(m: RankOracle, samples: int = 1000, seed: int = 0) -> bool:
         if m.rank(a | b) + m.rank(a & b) > ra + rb:
             return False
     return True
+
+
+def leibniz_det(mat: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant as the signed sum over permutations; no elimination, no division."""
+    n = len(mat)
+    total = MultiPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
+        term = MultiPoly.const(-1 if inversions & 1 else 1)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        total = total + term
+    return total
+
+
+def graph_width_by_popcount(g: MultiGraph) -> tuple[int, tuple[int, ...]]:
+    """The width DP visiting subsets by increasing size, as `graph_width` once did."""
+    edge_list, _, vmasks = _bit_setup(g)
+    full = (1 << g.m) - 1
+    f = [0] * (full + 1)
+    parent = [-1] * (full + 1)
+    for mask in sorted(range(1, full + 1), key=lambda b: b.bit_count()):
+        o = _order_of_mask(mask, full, vmasks)
+        best, best_i = None, -1
+        for i in range(g.m):
+            if mask >> i & 1:
+                v = f[mask & ~(1 << i)] if mask & (mask - 1) else o
+                if best is None or v < best:
+                    best, best_i = v, i
+        f[mask] = max(o, best)
+        parent[mask] = best_i
+    ordering: list[int] = []
+    mask = full
+    while mask:
+        ordering.append(edge_list[parent[mask]])
+        mask &= ~(1 << parent[mask])
+    return f[full], tuple(reversed(ordering))

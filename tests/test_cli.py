@@ -383,6 +383,21 @@ def test_argparse_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; each call must still print what a
+    # fresh process prints, whatever ran before it
+    monkeypatch.setenv("COLUMNS", "80")
+    path = _graph_file(tmp_path, "k4.txt", complete_graph(4))
+    for argv in (
+        ["psi", path],
+        ["width", path, "--bound", "x"],
+        ["split-check", "--help"],
+        ["width", path],
+    ):
+        proc = _cli_process(*argv)
+        assert _run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(st.binary(max_size=60), FUZZ_GRAPH_TEXT.map(
     lambda text: text.encode("utf-8", "surrogatepass"))))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivesplit import kirchhoff
 from fivesplit.graph_core import MultiGraph, contract_edge, delete_edge, is_connected
 from fivesplit.kirchhoff import (
     DodgsonSpec,
+    _dodgson_matrix,
+    _poly_det,
     dodgson,
     dodgson_vanishes,
     dodgson_via_trees,
@@ -27,10 +31,10 @@ from fivesplit.named_graphs import (
     triangle,
     wheel,
 )
-from fivesplit.poly import MultiPoly
+from fivesplit.poly import MultiPoly, divexact
 from fivesplit.search import enumerate_underlying
 from fivesplit.splitting import config_splits
-from oracles import five_invariant_all_orderings_agree
+from oracles import five_invariant_all_orderings_agree, leibniz_det
 
 
 def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:
@@ -341,3 +345,103 @@ def test_dodgson_vanishes_on_loops_and_disconnected_graphs():
     assert dodgson_vanishes(looped, spec)
     assert dodgson(looped, spec).is_zero()
     assert _assert_vanishing_matches_tree_route(looped, [1, 2, 3, 4, 5]).count(False) > 0
+
+
+def _random_entry(rng: random.Random) -> MultiPoly:
+    r = rng.random()
+    if r < 0.45:
+        return MultiPoly.zero()
+    if r < 0.7:
+        return MultiPoly.const(rng.choice([-2, -1, 1, 1, 2, 3]))
+    if r < 0.85:
+        return MultiPoly.variable(rng.randint(1, 3))
+    # repeated variables, squares and several terms
+    x = MultiPoly.variable
+    return x(rng.randint(1, 3)) * x(rng.randint(1, 3)) + x(rng.randint(1, 4)).scale(rng.choice([-1, 2]))
+
+
+def _kernel_matrices(rng: random.Random, n: int):
+    def fresh():
+        return [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
+
+    for _ in range(10):
+        yield fresh()
+    yield [[MultiPoly.const(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if n == 0:
+        return
+    mat = fresh()
+    mat[rng.randrange(n)] = [MultiPoly.zero()] * n  # a zero row
+    yield mat
+    mat = fresh()
+    j = rng.randrange(n)
+    for row in mat:
+        row[j] = MultiPoly.zero()  # a zero column
+    yield mat
+    if n >= 2:
+        # singular: the last row a polynomial combination of two others
+        mat = fresh()
+        a, b = _random_entry(rng), _random_entry(rng)
+        mat[-1] = [a * p + b * q for p, q in zip(mat[0], mat[-2])]
+        yield mat
+
+
+def test_sparse_bareiss_matches_the_leibniz_expansion():
+    rng = random.Random(20261019)
+    for n in range(7):
+        for mat in _kernel_matrices(rng, n):
+            rows = [{j: p for j, p in enumerate(row) if p} for row in mat]
+            before = [dict(row) for row in rows]
+            assert _poly_det(rows) == leibniz_det(mat), mat
+            assert rows == before
+
+
+def test_one_term_division_checks_every_term():
+    x = MultiPoly.variable
+    # every term but one is divisible
+    with pytest.raises(ArithmeticError, match="coefficient"):
+        divexact(x(1).scale(4) + x(2).scale(6) + x(3).scale(3) + MultiPoly.const(8), MultiPoly.const(2))
+    with pytest.raises(ArithmeticError, match="monomial"):
+        divexact(x(1) * x(2) + x(1) * x(3) + x(2) + x(1) * x(1), x(1))
+    assert divexact(x(1) * x(2).scale(-6) + x(1).scale(4), x(1).scale(-2)) == x(2).scale(3) - MultiPoly.const(2)
+
+
+def test_the_kernel_divides_through_the_module_name(monkeypatch):
+    # the benchmark times `kirchhoff.divexact`; an inlined division would read as 0 calls
+    calls = []
+
+    def counting(p, d):
+        calls.append(d)
+        return divexact(p, d)
+
+    monkeypatch.setattr(kirchhoff, "divexact", counting)
+    g = complete_graph(4)
+    spec = DodgsonSpec(frozenset({1}), frozenset({2}), frozenset({3}))
+    assert _poly_det(_dodgson_matrix(g, spec)) == dodgson_via_trees(g, spec)
+    assert calls
+
+
+def _census_polynomial_digest() -> str:
+    census = [g for m in range(1, 9) for g in enumerate_underlying(m, three_connected=False)]
+    assert len(census) == 358
+    rng = random.Random(20261019)
+    h = hashlib.sha1()
+    for g in census:
+        ids = sorted(g.edges)
+        h.update(kirchhoff_poly(g).render().encode())
+        for _ in range(2):
+            r = rng.randint(0, min(3, len(ids)))
+            i_set = frozenset(rng.sample(ids, r))
+            j_set = frozenset(rng.sample(ids, r))
+            rest = [e for e in ids if e not in i_set | j_set]
+            k_set = frozenset(rng.sample(rest, rng.randint(1, len(rest)))) if rest else frozenset()
+            for k in (frozenset(), k_set):
+                h.update(dodgson(g, DodgsonSpec(i_set, j_set, k)).render().encode())
+        if g.m >= 5:
+            h.update(five_invariant(g, rng.sample(ids, 5)).render().encode())
+    return h.hexdigest()
+
+
+def test_census_polynomials_render_as_pinned():
+    # every rendered polynomial is a determinant, unique whatever the pivots;
+    # the digest was computed with the dense Bareiss elimination
+    assert _census_polynomial_digest() == "cd05317cccfbfb6bfe41aefda2d0413bf682da0b"

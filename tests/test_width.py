@@ -23,6 +23,7 @@ from fivesplit.named_graphs import (
     wheel,
 )
 from fivesplit.width import graph_width, has_width_le, ordering_width
+from oracles import graph_width_by_popcount
 
 
 def test_cycle_in_cyclic_order():
@@ -99,6 +100,24 @@ def test_has_width_le_matches_graph_width():
         w = graph_width(g)[0]
         for k in range(0, w + 2):
             assert has_width_le(g, k) == (k >= w)
+
+
+def test_ascending_masks_give_the_popcount_order_result():
+    # ascending integers and increasing subset size both visit every subset
+    # before its supersets, so width and ordering (ties to the lowest edge) agree
+    rng = random.Random(20261019)
+    for m in list(range(1, 15)) + [rng.randint(8, 14) for _ in range(10)]:
+        n = rng.randint(1, 7)
+        edges = {}
+        for e in range(1, m + 1):
+            if e > 1 and rng.random() < 0.15:
+                edges[e] = edges[rng.randint(1, e - 1)]  # a parallel edge
+            else:
+                u = rng.randrange(n)
+                v = u if rng.random() < 0.1 else rng.randrange(n)
+                edges[e] = (min(u, v), max(u, v))
+        g = MultiGraph(range(n), edges)
+        assert graph_width(g) == graph_width_by_popcount(g)
 
 
 def test_f0_members_exceed_width_three():
