@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import named_graphs as ng
 from .graph_core import (
@@ -603,6 +603,28 @@ def family_label(g: MultiGraph) -> str:
 # -- matroid-dual bijections between labelled graphs --------------------------
 
 
+class _TreeCounts(NamedTuple):
+    """A graph's spanning trees and how often edges and edge pairs lie in them."""
+
+    trees: frozenset[frozenset[int]]
+    per_edge: dict[int, int]
+    pairs: dict[tuple[int, int], int]
+
+
+def _tree_counts(g: MultiGraph) -> _TreeCounts:
+    trees = frozenset(spanning_trees(g))
+    edges = sorted(g.edges)
+    per_edge = {e: 0 for e in edges}
+    pairs = {(e, f): 0 for e in edges for f in edges}
+    for t in trees:
+        ts = sorted(t)
+        for e in ts:
+            per_edge[e] += 1
+            for f in ts:
+                pairs[(e, f)] += 1
+    return _TreeCounts(trees, per_edge, pairs)
+
+
 def find_dual_bijection(
     g: MultiGraph,
     h: MultiGraph,
@@ -616,34 +638,25 @@ def find_dual_bijection(
     an edge in a(e) trees of g must map to an edge in N - a(e) trees of h, and
     pair counts transform as q(f, f') = N - b(f) - b(f') + both(f, f').
     """
-    trees_g = list(spanning_trees(g))
-    trees_h = set(spanning_trees(h))
+    return _dual_bijection(g, _tree_counts(g), h, _tree_counts(h), tags_g, tags_h)
+
+
+def _dual_bijection(
+    g: MultiGraph,
+    counts_g: _TreeCounts,
+    h: MultiGraph,
+    counts_h: _TreeCounts,
+    tags_g: Mapping[int, object],
+    tags_h: Mapping[int, object],
+) -> dict[int, int] | None:
+    """`find_dual_bijection` with each graph's tree counts given."""
+    trees_g, trees_h = counts_g.trees, counts_h.trees
     n_trees = len(trees_g)
     if n_trees == 0 or len(trees_h) != n_trees or g.m != h.m:
         return None
     ge, he = sorted(g.edges), sorted(h.edges)
-
-    def per_edge(trees: Iterable[frozenset[int]], edges: list[int]) -> dict[int, int]:
-        cnt = {e: 0 for e in edges}
-        for t in trees:
-            for e in t:
-                cnt[e] += 1
-        return cnt
-
-    a = per_edge(trees_g, ge)
-    b = per_edge(trees_h, he)
-    pg = {(e, f): 0 for e in ge for f in ge}
-    for t in trees_g:
-        ts = sorted(t)
-        for e in ts:
-            for f in ts:
-                pg[(e, f)] += 1
-    ph = {(e, f): 0 for e in he for f in he}
-    for t in trees_h:
-        ts = sorted(t)
-        for e in ts:
-            for f in ts:
-                ph[(e, f)] += 1
+    a, pg = counts_g.per_edge, counts_g.pairs
+    b, ph = counts_h.per_edge, counts_h.pairs
     qh = {
         (e, f): n_trees - b[e] - b[f] + ph[(e, f)]
         for e in he
@@ -709,7 +722,11 @@ def find_dual_bijection(
 def assign_dual_partners(entries: list[CatalogEntry]) -> list[CatalogEntry]:
     """Fill dual_partner indices: C and D swap under the matroid-dual bijection."""
     partner: list[int | None] = [None] * len(entries)
+    # each entry's tree counts, computed when first compared; entry i is
+    # compared only with entries from i on, so it is dropped after its turn
+    counts: dict[int, _TreeCounts] = {}
     for i, ei in enumerate(entries):
+        counts.pop(i - 1, None)
         if partner[i] is not None:
             continue
         tags_i = {
@@ -726,7 +743,12 @@ def assign_dual_partners(entries: list[CatalogEntry]) -> list[CatalogEntry]:
                 f: (f in ej.enhanced.delete_protected, f in ej.enhanced.contract_protected)
                 for f in ej.enhanced.graph.edges
             }
-            if find_dual_bijection(ei.enhanced.graph, ej.enhanced.graph, tags_i, tags_j):
+            for k in (i, j):
+                if k not in counts:
+                    counts[k] = _tree_counts(entries[k].enhanced.graph)
+            if _dual_bijection(
+                ei.enhanced.graph, counts[i], ej.enhanced.graph, counts[j], tags_i, tags_j
+            ):
                 partner[i] = j
                 partner[j] = i
                 break

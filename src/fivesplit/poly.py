@@ -13,6 +13,7 @@ refer to this order.
 
 from __future__ import annotations
 
+import heapq
 import re
 from typing import Iterable, Iterator, Mapping
 
@@ -249,13 +250,29 @@ def divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
                 raise ArithmeticError("inexact polynomial division (coefficient)")
             quotient[_div_monomials(m, dm) if dm else m] = c // dc
         return MultiPoly(quotient)
-    r = p
-    while not r.is_zero():
-        rm, rc = r.leading()
+    # the remainder is updated in place, and a lazy heap yields its leading
+    # term: a popped monomial no longer in the remainder was cancelled
+    r = dict(p.terms)
+    heap = [(_monomial_key(m), m) for m in r]
+    heapq.heapify(heap)
+    d_rest = [(m, c) for m, c in d.terms.items() if m != dm]
+    while heap:
+        rm = heapq.heappop(heap)[1]
+        rc = r.pop(rm, 0)
+        if not rc:
+            continue
         if rc % dc:
             raise ArithmeticError("inexact polynomial division (coefficient)")
         qm = _div_monomials(rm, dm)
         qc = rc // dc
         quotient[qm] = quotient.get(qm, 0) + qc
-        r = r - MultiPoly({qm: qc}) * d
+        for m, c in d_rest:
+            tm = _mul_monomials(qm, m)
+            s = r.get(tm, 0) - qc * c
+            if s:
+                if tm not in r:
+                    heapq.heappush(heap, (_monomial_key(tm), tm))
+                r[tm] = s
+            else:
+                r.pop(tm, None)
     return MultiPoly(quotient)

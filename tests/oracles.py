@@ -37,7 +37,6 @@ from fivesplit.splitting import (
     from_enhanced,
     to_enhanced,
 )
-from fivesplit.width import _bit_setup, _order_of_mask
 
 
 def _has_minor_recursive(host: MultiGraph, pattern: MultiGraph, _seen=None) -> bool:
@@ -362,13 +361,24 @@ def leibniz_det(mat: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 
 def graph_width_by_popcount(g: MultiGraph) -> tuple[int, tuple[int, ...]]:
-    """The width DP visiting subsets by increasing size, as `graph_width` once did."""
-    edge_list, _, vmasks = _bit_setup(g)
+    """The width DP visiting subsets by increasing size, as `graph_width` once did.
+
+    A subset's order is counted vertex by vertex: a vertex is on the boundary
+    when its edges lie on both sides.
+    """
+    edge_list = sorted(g.edges)
     full = (1 << g.m) - 1
+    vmasks = [
+        sum(1 << i for i, e in enumerate(edge_list) if v in g.edges[e]) for v in g.vertices
+    ]
+
+    def order(mask: int) -> int:
+        return sum(1 for vm in vmasks if vm & mask and vm & (full ^ mask))
+
     f = [0] * (full + 1)
     parent = [-1] * (full + 1)
     for mask in sorted(range(1, full + 1), key=lambda b: b.bit_count()):
-        o = _order_of_mask(mask, full, vmasks)
+        o = order(mask)
         best, best_i = None, -1
         for i in range(g.m):
             if mask >> i & 1:
@@ -383,3 +393,27 @@ def graph_width_by_popcount(g: MultiGraph) -> tuple[int, tuple[int, ...]]:
         ordering.append(edge_list[parent[mask]])
         mask &= ~(1 << parent[mask])
     return f[full], tuple(reversed(ordering))
+
+
+def divexact_by_leading_terms(p: MultiPoly, d: MultiPoly) -> MultiPoly:
+    """Exact p / d by rebuilding the remainder after each leading-term step.
+
+    Quadratic in the size of p, as `poly.divexact` once was for many-term
+    divisors; raises ArithmeticError on the same step with the same message.
+    """
+    dm, dc = d.leading()
+    quotient: dict = {}
+    r = p
+    while not r.is_zero():
+        rm, rc = r.leading()
+        if rc % dc:
+            raise ArithmeticError("inexact polynomial division (coefficient)")
+        exps = dict(rm)
+        for v, e in dm:
+            if exps.get(v, 0) < e:
+                raise ArithmeticError("inexact polynomial division (monomial)")
+            exps[v] -= e
+        qm = tuple(sorted((v, e) for v, e in exps.items() if e))
+        quotient[qm] = quotient.get(qm, 0) + rc // dc
+        r = r - MultiPoly({qm: rc // dc}) * d
+    return MultiPoly(quotient)

@@ -195,6 +195,14 @@ def test_width_command(tmp_path, capsys):
     assert "no" in out
 
 
+def test_width_refuses_more_than_22_edges(tmp_path, capsys):
+    c22 = _graph_file(tmp_path, "c22.txt", cycle_graph(22))
+    assert _run(capsys, "width", c22, "--bound", "3") == (0, "width <= 3: yes\n", "")
+    c23 = _graph_file(tmp_path, "c23.txt", cycle_graph(23))
+    for argv in (("width", c23), ("width", c23, "--bound", "3")):
+        assert _run(capsys, *argv) == (2, "", "error: width DP supports at most 22 edges\n")
+
+
 def test_minor_check_builtin_and_file(tmp_path, capsys):
     host = _graph_file(tmp_path, "cube.txt", cube())
     code, _, _ = _run(capsys, "minor-check", host, "--builtin", "K4")

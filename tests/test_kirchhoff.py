@@ -26,7 +26,9 @@ from fivesplit.kirchhoff import (
 )
 from fivesplit.named_graphs import (
     complete_graph,
+    cube,
     cycle_graph,
+    octahedron,
     path_graph,
     triangle,
     wheel,
@@ -34,7 +36,7 @@ from fivesplit.named_graphs import (
 from fivesplit.poly import MultiPoly, divexact
 from fivesplit.search import enumerate_underlying
 from fivesplit.splitting import config_splits
-from oracles import five_invariant_all_orderings_agree, leibniz_det
+from oracles import divexact_by_leading_terms, five_invariant_all_orderings_agree, leibniz_det
 
 
 def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:
@@ -418,6 +420,26 @@ def test_the_kernel_divides_through_the_module_name(monkeypatch):
     spec = DodgsonSpec(frozenset({1}), frozenset({2}), frozenset({3}))
     assert _poly_det(_dodgson_matrix(g, spec)) == dodgson_via_trees(g, spec)
     assert calls
+
+
+def test_kirchhoff_many_term_divisions_match_the_leading_term_loop(monkeypatch):
+    # the cube's and the octahedron's determinants each divide about 1,500
+    # terms by a 6-term pivot
+    seen = []
+
+    def recording(p, d):
+        if len(d) > 1:
+            seen.append((p, d))
+        return divexact(p, d)
+
+    monkeypatch.setattr(kirchhoff, "divexact", recording)
+    for g in (cube(), octahedron(), complete_graph(5)):
+        kirchhoff_poly(g)
+    assert sorted(len(p) for p, _ in seen) == [425, 1536, 1591]
+    for p, d in seen:
+        q = divexact(p, d)
+        assert list(q.terms.items()) == list(divexact_by_leading_terms(p, d).terms.items())
+        assert q * d == p
 
 
 def _census_polynomial_digest() -> str:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fivesplit.minors as minors_module
-from fivesplit.graph_core import _MAX_PARSED_VERTICES, MultiGraph, find_isomorphism
+from fivesplit.graph_core import _MAX_PARSED_VERTICES, MultiGraph, find_isomorphism, spanning_trees
 from fivesplit.minors import (
     CatalogEntry,
     MinorPattern,
@@ -538,9 +538,18 @@ def test_dual_bijection_respects_tags():
             assert bij is None or bij[5] != 1
 
 
-def test_assign_dual_partners_on_small_catalog():
+def test_assign_dual_partners_on_small_catalog(monkeypatch):
     entries = build_catalog(SearchConfig(max_edges=8))
+    enumerated = []
+
+    def counting(g):
+        enumerated.append(g)
+        return spanning_trees(g)
+
+    monkeypatch.setattr(minors_module, "spanning_trees", counting)
     withp = assign_dual_partners([e.with_partner(None) for e in entries])
+    # each entry's trees are enumerated once, not once per comparison
+    assert len(enumerated) == len(entries)
     for i, entry in enumerate(withp):
         assert entry.dual_partner is not None
         j = entry.dual_partner

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivesplit.poly import MultiPoly, divexact, parse_poly
+from oracles import divexact_by_leading_terms
 
 x1 = MultiPoly.variable(1)
 x2 = MultiPoly.variable(2)
@@ -150,3 +153,45 @@ def test_parse_poly_raises_only_value_error(text):
         parse_poly(text)
     except ValueError:
         pass
+
+
+def _random_poly(rng, terms, variables, degree):
+    out = MultiPoly.zero()
+    for _ in range(terms):
+        mono = {}
+        for _ in range(rng.randint(0, degree)):
+            v = rng.randint(1, variables)
+            mono[v] = mono.get(v, 0) + 1
+        out = out + MultiPoly({tuple(sorted(mono.items())): rng.choice([-3, -2, -1, 1, 2, 5])})
+    return out
+
+
+def _division_outcome(divide, p, d):
+    try:
+        q = divide(p, d)
+    except ArithmeticError as exc:
+        return str(exc)
+    return list(q.terms.items())
+
+
+def test_many_term_division_matches_the_leading_term_loop():
+    rng = random.Random(20261019)
+    raised = 0
+    for _ in range(300):
+        q = _random_poly(rng, rng.randint(1, 12), 5, 4)
+        d = _random_poly(rng, rng.randint(2, 6), 5, 3)
+        if len(d) < 2:
+            continue
+        p = q * d
+        assert divexact(p, d) == q
+        # the same quotient terms in the same order
+        assert _division_outcome(divexact, p, d) == _division_outcome(divexact_by_leading_terms, p, d)
+        # one more random term, or 1 added to the constant term, usually leaves a remainder
+        bad = p + _random_poly(rng, 1, 5, 4) if rng.random() < 0.5 else p + MultiPoly.const(1)
+        outcome = _division_outcome(divexact, bad, d)
+        assert outcome == _division_outcome(divexact_by_leading_terms, bad, d)
+        if isinstance(outcome, str):
+            raised += 1
+        else:
+            assert MultiPoly(dict(outcome)) * d == bad
+    assert raised > 200

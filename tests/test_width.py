@@ -84,6 +84,28 @@ def test_returned_ordering_achieves_the_width():
         assert ordering_width(g, list(order)) == w
 
 
+def _messy_multigraphs():
+    """210 derandomised multigraphs of 1-14 edges on scattered vertex labels.
+
+    They have loops, parallel edges and isolated vertices; one label of each
+    graph is near the 100,000-vertex limit of the parsers.
+    """
+    rng = random.Random(20261019)
+    for index in range(210):
+        m = 1 + index % 14
+        labels = rng.sample(range(3, 99_990, 7), rng.randint(1, 7)) + [99_999 - index]
+        edges = {}
+        for e in rng.sample(range(1, 60), m):
+            if edges and rng.random() < 0.15:
+                edges[e] = edges[rng.choice(list(edges))]  # a parallel edge
+            else:
+                u = rng.choice(labels)
+                v = u if rng.random() < 0.1 else rng.choice(labels)
+                edges[e] = (min(u, v), max(u, v))
+        isolated = rng.sample(range(100_000, 100_050), rng.randint(0, 2))
+        yield MultiGraph(labels + isolated, edges)
+
+
 def test_has_width_le_matches_graph_width():
     rng = random.Random(7)
     graphs = [cycle_graph(4), complete_graph(4), wheel(4), path_graph(4)]
@@ -94,29 +116,18 @@ def test_has_width_le_matches_graph_width():
         if not chosen:
             continue
         graphs.append(MultiGraph(range(n), {i + 1: p for i, p in enumerate(chosen)}))
-    for g in graphs:
+    for g in graphs + list(_messy_multigraphs()):
         if g.m == 0:
             continue
         w = graph_width(g)[0]
-        for k in range(0, w + 2):
+        for k in range(-1, g.n + 2):
             assert has_width_le(g, k) == (k >= w)
 
 
 def test_ascending_masks_give_the_popcount_order_result():
     # ascending integers and increasing subset size both visit every subset
     # before its supersets, so width and ordering (ties to the lowest edge) agree
-    rng = random.Random(20261019)
-    for m in list(range(1, 15)) + [rng.randint(8, 14) for _ in range(10)]:
-        n = rng.randint(1, 7)
-        edges = {}
-        for e in range(1, m + 1):
-            if e > 1 and rng.random() < 0.15:
-                edges[e] = edges[rng.randint(1, e - 1)]  # a parallel edge
-            else:
-                u = rng.randrange(n)
-                v = u if rng.random() < 0.1 else rng.randrange(n)
-                edges[e] = (min(u, v), max(u, v))
-        g = MultiGraph(range(n), edges)
+    for g in _messy_multigraphs():
         assert graph_width(g) == graph_width_by_popcount(g)
 
 
