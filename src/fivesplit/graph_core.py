@@ -116,14 +116,6 @@ def separation_order(g: MultiGraph, subset: Iterable[int]) -> int:
     return len(boundary(g, subset))
 
 
-def is_proper(g: MultiGraph, subset: Iterable[int]) -> bool:
-    """True when each side of the separation has a vertex the other side misses."""
-    a = frozenset(subset)
-    va = edge_vertices(g, a)
-    vb = edge_vertices(g, g.edge_ids() - a)
-    return bool(va - vb) and bool(vb - va)
-
-
 def delete_edge(g: MultiGraph, e: int) -> MultiGraph:
     g.endpoints(e)
     return MultiGraph(g.vertices, {f: uv for f, uv in g.edges.items() if f != e})
@@ -184,13 +176,6 @@ def connected_components(g: MultiGraph) -> list[frozenset[int]]:
 
 def is_connected(g: MultiGraph) -> bool:
     return len(connected_components(g)) <= 1
-
-
-def induced_subgraph(g: MultiGraph, vertex_subset: Iterable[int]) -> MultiGraph:
-    vs = frozenset(vertex_subset)
-    return MultiGraph(
-        vs, {e: (a, b) for e, (a, b) in g.edges.items() if a in vs and b in vs}
-    )
 
 
 def is_k_connected(g: MultiGraph, k: int) -> bool:
@@ -441,55 +426,84 @@ def _adjacency_counts(g: MultiGraph) -> dict[int, dict[int, int]]:
     return adj
 
 
-def find_isomorphism(g: MultiGraph, h: MultiGraph) -> dict[int, int] | None:
-    """A vertex bijection preserving edge multiplicities, or None.
+class _IsoSide:
+    """One graph's side of an isomorphism search, prepared once and reusable.
 
-    Backtracking over degree-invariant classes; intended for the small
-    reference graphs (brute force beyond ~10 vertices gets slow).
+    inv[v] is the degree of v refined twice by its neighbours' invariants;
+    order lists the vertices by (invariant, label), by_inv the vertices of each
+    invariant in ascending order, and profile the sorted invariants.
     """
-    if g.n != h.n or g.m != h.m:
-        return None
-    ga, ha = _adjacency_counts(g), _adjacency_counts(h)
 
-    def invariants(adj: dict[int, dict[int, int]]) -> dict[int, tuple]:
+    __slots__ = ("n", "m", "adj", "inv", "order", "by_inv", "profile")
+
+    def __init__(self, g: MultiGraph):
+        adj = _adjacency_counts(g)
         inv = {v: (sum(adj[v].values()) + adj[v].get(v, 0),) for v in adj}
         for _ in range(2):
             inv = {
                 v: (inv[v], tuple(sorted((c, inv[w]) for w, c in adj[v].items())))
                 for v in adj
             }
-        return inv
+        by_inv: dict[tuple, list[int]] = {}
+        for v in sorted(g.vertices):
+            by_inv.setdefault(inv[v], []).append(v)
+        self.n, self.m = g.n, g.m
+        self.adj = adj
+        self.inv = inv
+        self.order = sorted(g.vertices, key=lambda v: (inv[v], v))
+        self.by_inv = by_inv
+        self.profile = sorted(inv.values())
 
-    gi, hi = invariants(ga), invariants(ha)
-    if sorted(gi.values()) != sorted(hi.values()):
-        return None
-    gv = sorted(g.vertices, key=lambda v: (gi[v], v))
+
+def isomorphisms(
+    g: MultiGraph | _IsoSide, h: MultiGraph | _IsoSide
+) -> Iterator[dict[int, int]]:
+    """Every vertex bijection from g to h preserving edge multiplicities.
+
+    Backtracking over degree-invariant classes: g's vertices are placed in
+    (invariant, label) order, each onto h's unused vertices of its invariant
+    in ascending order, so the maps come in lexicographic order of their
+    images.  Either side may be an `_IsoSide` prepared beforehand, which a
+    caller comparing one graph with many keeps instead of rebuilding it.
+    Intended for the small reference graphs (brute force beyond ~10 vertices
+    gets slow).
+    """
+    gs = g if isinstance(g, _IsoSide) else _IsoSide(g)
+    hs = h if isinstance(h, _IsoSide) else _IsoSide(h)
+    if gs.n != hs.n or gs.m != hs.m or gs.profile != hs.profile:
+        return iter(())
+    ga, ha, gi, by_inv, gv = gs.adj, hs.adj, gs.inv, hs.by_inv, gs.order
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    def extend(i: int) -> bool:
+    def extend(i: int) -> Iterator[dict[int, int]]:
         if i == len(gv):
-            return True
+            yield dict(mapping)
+            return
         v = gv[i]
-        for w in sorted(h.vertices):
-            if w in used or hi[w] != gi[v]:
+        gav = ga[v]
+        for w in by_inv[gi[v]]:
+            if w in used:
                 continue
-            ok = ga[v].get(v, 0) == ha[w].get(w, 0)
-            for vm, wm in mapping.items():
-                if ga[v].get(vm, 0) != ha[w].get(wm, 0):
-                    ok = False
-                    break
-            if not ok:
+            haw = ha[w]
+            if gav.get(v, 0) != haw.get(w, 0):
+                continue
+            if any(gav.get(vm, 0) != haw.get(wm, 0) for vm, wm in mapping.items()):
                 continue
             mapping[v] = w
             used.add(w)
-            if extend(i + 1):
-                return True
+            yield from extend(i + 1)
             del mapping[v]
             used.discard(w)
-        return False
 
-    return dict(mapping) if extend(0) else None
+    return extend(0)
+
+
+def find_isomorphism(
+    g: MultiGraph | _IsoSide, h: MultiGraph | _IsoSide
+) -> dict[int, int] | None:
+    """The first map `isomorphisms` yields, or None when g and h differ."""
+    return next(isomorphisms(g, h), None)
 
 
 # -- text and graph6 input/output -------------------------------------------

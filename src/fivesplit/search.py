@@ -12,6 +12,14 @@ kept when every one-step reduction of the enhanced minor order, as listed by
 configuration splits; that is read off the reductions' own minimal-protection
 tables.
 
+The work on each host is done once per orbit of its automorphism group,
+taken from `graph_core.isomorphisms(g, g)` as permutations of the edge ids.
+Candidates (C, D) in one orbit are isomorphic enhanced graphs, so they agree
+on minimality and the catalog keeps one of them: only the first in table
+order is tested and returned.  The graphs derived from the host that an
+automorphism carries onto one another share one table of (C_min, D_min)
+pairs, and a query on any of them is carried into that table's coordinates.
+
 The default census contains the simple 3-connected graphs; an unrestricted
 mode (all connected simple graphs, small edge counts only) validates that the
 restriction loses nothing.
@@ -30,10 +38,12 @@ from typing import Iterable
 
 from .graph_core import (
     MultiGraph,
+    _IsoSide,
     contract_edge,
     delete_edge,
     find_isomorphism,
     is_k_connected,
+    isomorphisms,
 )
 from .minors import (
     CatalogEntry,
@@ -115,17 +125,20 @@ class _IsoDedupe:
 
     Full canonical forms degrade to n! work on regular graphs, so the census
     uses this instead and canonicalises only one representative per class.
+    Each graph's side of the search is prepared once: a representative's is
+    kept in its bucket, so later comparisons with it do not rebuild it.
     """
 
     def __init__(self) -> None:
-        self.buckets: dict[tuple, list[MultiGraph]] = {}
+        self.buckets: dict[tuple, list[_IsoSide]] = {}
 
     def add(self, g: MultiGraph) -> bool:
         reps = self.buckets.setdefault(_iso_invariant(g), [])
+        side = _IsoSide(g)
         for rep in reps:
-            if find_isomorphism(g, rep) is not None:
+            if find_isomorphism(side, rep) is not None:
                 return False
-        reps.append(g)
+        reps.append(side)
         return True
 
 
@@ -277,10 +290,71 @@ def _fits(pairs: Iterable[tuple[int, int]], c: int, d: int) -> bool:
     return any(not (c2 & ~c or d2 & ~d) for c2, d2 in pairs)
 
 
+def _edge_automorphisms(g: MultiGraph, host: _Tables) -> list[list[int]]:
+    """Aut(g) as permutations of the host's edge bits, in `isomorphisms` order.
+
+    perm[i] is the bit that edge bit i goes to.  A vertex map carries an edge
+    to the edge on its image pair, so g may have no two edges on one pair.
+    """
+    by_ends: dict[tuple[int, int], int] = {}
+    for e, ends in g.edges.items():
+        if by_ends.setdefault(ends, e) != e:
+            raise RuntimeError(
+                f"edges {by_ends[ends]} and {e} of the host share their endpoints"
+            )
+    perms = []
+    for iso in isomorphisms(g, g):
+        perm = []
+        for e in host.ids:
+            u, v = g.edges[e]
+            a, b = iso[u], iso[v]
+            perm.append(host.bit[by_ends[(a, b) if a <= b else (b, a)]])
+        perms.append(perm)
+    return perms
+
+
+def _image(perm: list[int], mask: int) -> int:
+    """The edge mask that an automorphism from `_edge_automorphisms` maps mask to."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _orbit_pairs(
+    h: MultiGraph,
+    host: _Tables,
+    perms: list[list[int]],
+    tables: dict[tuple[int, int], set[tuple[int, int]]],
+) -> tuple[set[tuple[int, int]], list[int]]:
+    """h's distinct (C_min, D_min) pairs, carried by perm, and perm.
+
+    perm is the first automorphism of the host (from `_edge_automorphisms`)
+    that takes h's edge mask to its least image.  tables holds one pair set
+    per (vertex count, least image) and is filled on a miss.  A graph that a
+    deletion, a contraction or a vertex deletion derives from a simple host
+    is fixed, up to the names of its vertices, by its vertex count and its
+    edge ids, so graphs with one key are carried onto one another by an
+    automorphism that carries their edge ids, and share one table.
+    """
+    mask = host.mask(h.edges)
+    perm = min(perms, key=lambda p: _image(p, mask))
+    key = (h.n, _image(perm, mask))
+    pairs = tables.get(key)
+    if pairs is None:
+        pairs = tables[key] = {
+            (_image(perm, c), _image(perm, d)) for c, d in _config_minima(h, host).values()
+        }
+    return pairs, perm
+
+
 def _host_entries(
     g: MultiGraph, include_plain: bool
 ) -> list[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
-    """Minor-minimal candidates (C, D, witness) on the fixed underlying graph g."""
+    """Minor-minimal candidates (C, D, witness) on the simple graph g, one per
+    automorphism orbit of (C, D): the first member in table order."""
     host = _Tables(g)
     rows = _config_minima(g, host)
     if not rows:
@@ -288,25 +362,35 @@ def _host_entries(
     by_cd: dict[tuple[int, int], int] = {}
     for s, cd in rows.items():
         by_cd.setdefault(cd, s)
-    distinct: dict[MultiGraph, set[tuple[int, int]]] = {g: set(by_cd)}
+    perms = _edge_automorphisms(g, host)
+    # g's own pairs are a union of orbits, the same in every automorphism's coordinates
+    tables = {(g.n, host.mask(g.edges)): set(by_cd)}
+    placed: dict[MultiGraph, tuple[set[tuple[int, int]], list[int]]] = {}
 
-    def pairs(h: MultiGraph) -> set[tuple[int, int]]:
-        found = distinct.get(h)
+    def fits(h: MultiGraph, c: int, d: int) -> bool:
+        found = placed.get(h)
         if found is None:
-            found = distinct[h] = set(_config_minima(h, host).values())
-        return found
+            found = placed[h] = _orbit_pairs(h, host, perms, tables)
+        pairs, perm = found
+        return _fits(pairs, _image(perm, c), _image(perm, d))
 
     # A candidate is minimal when every one-step reduction splits.  Protection
     # removals are yielded first and read this host's own table, so they
     # reject most non-minimal candidates before any smaller graph is tabulated.
+    # Minimality is the same across an orbit, and so is the canonical form
+    # the catalog keeps, so only the first member of each orbit is tested.
     out = []
+    seen: set[tuple[int, int]] = set()
     for (c, d), s in by_cd.items():
+        if (c, d) in seen:
+            continue
+        seen.update((_image(p, c), _image(p, d)) for p in perms)
         if not (include_plain or c or d):
             continue
         eg = EnhancedGraph(g, host.edges_of(c), host.edges_of(d))
         if not any(
-            _fits(
-                pairs(child.graph),
+            fits(
+                child.graph,
                 host.mask(child.contract_protected),
                 host.mask(child.delete_protected),
             )

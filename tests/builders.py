@@ -38,11 +38,11 @@ def subdivided(g: MultiGraph, times: int) -> MultiGraph:
 
 
 @st.composite
-def scattered_multigraphs(draw, min_edges: int = 0):
+def scattered_multigraphs(draw, min_edges: int = 0, max_vertices: int = 7):
     """A multigraph with loops, parallel edges, isolated vertices, and vertex
     labels and edge ids with gaps; it has min_edges to 9 edges."""
     labels = sorted(draw(st.sets(st.integers(min_value=0, max_value=30),
-                                 min_size=1 if min_edges else 0, max_size=7)))
+                                 min_size=1 if min_edges else 0, max_size=max_vertices)))
     if not labels:
         return MultiGraph([], {})
     vertex = st.sampled_from(labels)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from fivesplit.graph_core import (
@@ -17,8 +18,8 @@ from fivesplit.graph_core import (
     connected_components,
     contract_edge,
     delete_edge,
+    edge_vertices,
     find_isomorphism,
-    induced_subgraph,
     is_k_connected,
     pieces,
     spanning_trees,
@@ -79,6 +80,36 @@ def enhanced_has_minor(eg: EnhancedGraph, target: EnhancedGraph) -> bool:
         for _, child in enhanced_children(cur):
             stack.append(child)
     return False
+
+
+def is_proper(g: MultiGraph, subset: Iterable[int]) -> bool:
+    """True when each side of the separation has a vertex the other side misses."""
+    a = frozenset(subset)
+    va = edge_vertices(g, a)
+    vb = edge_vertices(g, g.edge_ids() - a)
+    return bool(va - vb) and bool(vb - va)
+
+
+def induced_subgraph(g: MultiGraph, vertex_subset: Iterable[int]) -> MultiGraph:
+    vs = frozenset(vertex_subset)
+    return MultiGraph(
+        vs, {e: (a, b) for e, (a, b) in g.edges.items() if a in vs and b in vs}
+    )
+
+
+def automorphism_count_by_permutations(g: MultiGraph) -> int:
+    """|Aut(g)|: the vertex permutations, all n! of them tried, that keep the
+    multiplicity of every vertex pair and of every loop."""
+    verts = sorted(g.vertices)
+    multiplicity = Counter(g.edges.values())
+    count = 0
+    for image in itertools.permutations(verts):
+        f = dict(zip(verts, image))
+        mapped = Counter(
+            (f[u], f[v]) if f[u] <= f[v] else (f[v], f[u]) for u, v in g.edges.values()
+        )
+        count += mapped == multiplicity
+    return count
 
 
 def _spanning_forests(g: MultiGraph) -> Iterator[EdgeSubset]:

@@ -25,8 +25,9 @@ from fivesplit.graph_core import (
     find_isomorphism,
     from_graph6,
     is_connected,
+    _IsoSide,
     is_k_connected,
-    is_proper,
+    isomorphisms,
     load_graph,
     parse_graph_text,
     pieces,
@@ -46,8 +47,8 @@ from fivesplit.named_graphs import (
     triangle,
     wheel,
 )
-from builders import FUZZ_GRAPH_TEXT, cycle_prism
-from oracles import is_matroid_dual_pair
+from builders import FUZZ_GRAPH_TEXT, cycle_prism, scattered_multigraphs
+from oracles import automorphism_count_by_permutations, is_matroid_dual_pair, is_proper
 
 
 def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:
@@ -335,6 +336,56 @@ def test_find_isomorphism_rejects_distinct_graphs():
     g = cycle_graph(6)
     h = MultiGraph(range(6), {1: (0, 1), 2: (1, 2), 3: (0, 2), 4: (3, 4), 5: (4, 5), 6: (3, 5)})
     assert find_isomorphism(g, h) is None
+
+
+def _is_isomorphism(g: MultiGraph, h: MultiGraph, f: dict[int, int]) -> bool:
+    def pairs(graph, name):
+        return sorted(tuple(sorted((name[u], name[v]))) for u, v in graph.edges.values())
+
+    return sorted(f) == sorted(g.vertices) and pairs(g, f) == pairs(h, {v: v for v in h.vertices})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scattered_multigraphs(max_vertices=6), st.randoms(use_true_random=False))
+def test_isomorphisms_count_the_automorphisms_by_brute_force(g, rng):
+    autos = list(isomorphisms(g, g))
+    assert len(autos) == automorphism_count_by_permutations(g)
+    assert len({tuple(sorted(f.items())) for f in autos}) == len(autos)
+    assert all(_is_isomorphism(g, g, f) for f in autos)
+    # a relabelled copy: as many maps, each an isomorphism, also from prepared sides
+    verts = sorted(g.vertices)
+    name = dict(zip(verts, rng.sample(range(40), len(verts))))
+    h = MultiGraph(name.values(), {e + 7: (name[u], name[v]) for e, (u, v) in g.edges.items()})
+    maps = list(isomorphisms(g, h))
+    assert len(maps) == len(autos)
+    assert all(_is_isomorphism(g, h, f) for f in maps)
+    assert list(isomorphisms(_IsoSide(g), _IsoSide(h))) == maps
+    assert find_isomorphism(g, h) == maps[0]
+
+
+def test_automorphism_group_orders():
+    orders = {
+        "K4": (complete_graph(4), 24),
+        "K5": (complete_graph(5), 120),
+        "K3,3": (complete_bipartite(3, 3), 72),
+        "prism": (prism_like(), 12),
+        "W5": (wheel(5), 10),
+        "cube": (cube(), 48),
+        "octahedron": (octahedron(), 48),
+    }
+    for label, (g, order) in orders.items():
+        assert sum(1 for _ in isomorphisms(g, g)) == order, label
+
+
+def test_find_isomorphism_returns_the_first_map_yielded():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        g = _random_multigraph(rng, n, rng.randint(0, 8))
+        h = _random_multigraph(rng, n, g.m) if rng.random() < 0.5 else g
+        assert find_isomorphism(g, h) == next(isomorphisms(g, h), None)
+    assert find_isomorphism(cycle_graph(6), path_graph(7)) is None
+    assert next(isomorphisms(complete_bipartite(3, 3), prism_like()), None) is None
 
 
 def prism_like() -> MultiGraph:

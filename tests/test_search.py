@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 
 import networkx as nx
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fivesplit.search as search_module
-from fivesplit.graph_core import MultiGraph, find_isomorphism, is_k_connected
+from fivesplit.graph_core import MultiGraph, find_isomorphism, is_k_connected, isomorphisms
 from fivesplit.minors import canonical_form, enhanced_children, parse_catalog, render_catalog
 from fivesplit.named_graphs import (
     complete_bipartite,
@@ -23,7 +24,10 @@ from fivesplit.named_graphs import (
 from fivesplit.search import (
     SearchConfig,
     _config_minima,
+    _edge_automorphisms,
     _host_entries,
+    _image,
+    _orbit_pairs,
     build_catalog,
     enumerate_underlying,
     find_minimal_nonsplit,
@@ -308,9 +312,16 @@ def test_checkpoint_header_mismatch_is_ignored(tmp_path):
     assert len(entries) == 11
 
 
+def _classes(g: MultiGraph, cds) -> dict[tuple, tuple]:
+    """Each (c, d) to its isomorphism class, the canonical form of EnhancedGraph(g, c, d)."""
+    return {cd: canonical_form(EnhancedGraph(g, *cd)) for cd in cds}
+
+
 def test_host_entries_agree_with_the_engine():
-    # Every distinct minimal-protection row is a candidate; it is kept exactly
-    # when it is non-split and each one-step reduction splits outright.
+    # Every distinct minimal-protection row is non-split at its first witness
+    # and has the minimality verdict of the first row of its isomorphism class
+    # (its automorphism orbit); it is kept exactly when it is that first row,
+    # is non-split, and each one-step reduction splits outright.
     hosts = [g for m in range(6, 10) for g in enumerate_underlying(m)]
     hosts += [g for m in range(5, 8) for g in enumerate_underlying(m, three_connected=False)]
     checked = 0
@@ -318,16 +329,24 @@ def test_host_entries_agree_with_the_engine():
         first: dict[tuple, frozenset[int]] = {}
         for s, cd in frozenset_config_minima(g).items():
             first.setdefault(cd, s)
+        classes = _classes(g, first)
+        rep: dict[tuple, tuple] = {}
+        for cd in first:
+            rep.setdefault(classes[cd], cd)
+        minimal = {}
+        for (c, d), s in first.items():
+            eg = EnhancedGraph(g, c, d)
+            assert not config_splits(eg, s).splits
+            minimal[(c, d)] = all(graph_splits(child)[0] for _, child in enhanced_children(eg))
         for include_plain in (False, True):
             kept = {(c, d): w for c, d, w in _host_entries(g, include_plain)}
             assert set(kept) <= set(first)
             for (c, d), s in first.items():
-                eg = EnhancedGraph(g, c, d)
-                assert not config_splits(eg, s).splits
-                minimal = all(graph_splits(child)[0] for _, child in enhanced_children(eg))
-                assert ((c, d) in kept) == (minimal and (include_plain or bool(c or d))), (
-                    g.edges, c, d, include_plain
-                )
+                first_of_class = rep[classes[(c, d)]]
+                assert minimal[(c, d)] == minimal[first_of_class], (g.edges, c, d)
+                assert ((c, d) in kept) == (
+                    first_of_class == (c, d) and minimal[(c, d)] and (include_plain or bool(c or d))
+                ), (g.edges, c, d, include_plain)
                 if (c, d) in kept:
                     assert kept[(c, d)] == s
                 checked += 1
@@ -372,12 +391,82 @@ def test_mask_tables_equal_the_frozenset_route_on_multigraphs(g):
 
 
 def test_host_entries_equal_the_frozenset_route():
+    # The oracle tests every row; `_host_entries` keeps the first of each class.
     for m in range(6, 12):
         for g in enumerate_underlying(m):
+            classes = _classes(g, set(frozenset_config_minima(g).values()))
             for include_plain in (False, True):
-                assert _host_entries(g, include_plain) == host_entries_by_frozensets(
-                    g, include_plain
-                ), (g.edges, include_plain)
+                oracle = host_entries_by_frozensets(g, include_plain)
+                kept = {classes[(c, d)] for c, d, _ in oracle}
+                assert {(c, d) for c, d, _ in oracle} == {
+                    cd for cd, key in classes.items() if key in kept and (include_plain or any(cd))
+                }, (g.edges, include_plain)
+                firsts = {}
+                for c, d, w in oracle:
+                    firsts.setdefault(classes[(c, d)], (c, d, w))
+                assert _host_entries(g, include_plain) == list(firsts.values()), (
+                    g.edges, include_plain
+                )
+
+
+def test_orbit_tables_map_back_to_each_graphs_own_pairs():
+    shared = 0
+    for m in range(6, 11):
+        for g in enumerate_underlying(m):
+            host = _Tables(g)
+            perms = _edge_automorphisms(g, host)
+            assert len(perms) == sum(1 for _ in isomorphisms(g, g))
+            graphs = _graph_and_children(g)
+            tables: dict = {}
+            for h in graphs:
+                pairs, perm = _orbit_pairs(h, host, perms, tables)
+                assert perm in perms
+                back = [0] * len(perm)
+                for i, b in enumerate(perm):
+                    back[b.bit_length() - 1] = 1 << i
+                mapped = {(_image(back, c), _image(back, d)) for c, d in pairs}
+                assert mapped == set(_config_minima(h, host).values()), (g.edges, h.edges)
+            shared += len(graphs) - len(tables)
+    assert shared > 0
+
+
+def test_edge_automorphisms_refuse_parallel_edges():
+    g = MultiGraph(range(4), {1: (0, 1), 2: (0, 1), 3: (1, 2), 4: (2, 3), 5: (0, 3), 6: (0, 2)})
+    with pytest.raises(RuntimeError) as caught:
+        _edge_automorphisms(g, _Tables(g))
+    assert "\n" not in str(caught.value) and str(caught.value)
+
+
+@pytest.mark.parametrize("include_plain", [False, True])
+def test_checkpoint_listing_every_orbit_member_resumes(tmp_path, monkeypatch, include_plain):
+    # A record in the older format lists every kept row of a host, not one per
+    # orbit; resuming from it, or from a fresh checkpoint, gives the same result.
+    fresh = render_catalog(find_minimal_nonsplit(SearchConfig(9, include_plain=include_plain)))
+    old = tmp_path / "every-member.jsonl"
+    header = {"schema": 1, "max_edges": 9, "three_connected": True, "include_plain": include_plain}
+    records = []
+    for m in range(6, 10):
+        for g in enumerate_underlying(m):
+            found = host_entries_by_frozensets(g, include_plain)
+            records.append({
+                "host": search_module._host_wire(g),
+                "found": [[sorted(c), sorted(d), sorted(w)] for c, d, w in found],
+            })
+    old.write_text("\n".join(json.dumps(r) for r in [header, *records]) + "\n", encoding="utf-8")
+    new = tmp_path / "representatives.jsonl"
+    find_minimal_nonsplit(SearchConfig(9, include_plain=include_plain, checkpoint=new))
+    lines = new.read_text(encoding="utf-8").splitlines()[1:]
+    assert sum(len(json.loads(line)["found"]) for line in lines) < sum(
+        len(r["found"]) for r in records
+    )
+
+    def refuse(args):
+        raise AssertionError("a checkpointed host was computed again")
+
+    monkeypatch.setattr(search_module, "_host_worker", refuse)
+    for path in (old, new):
+        cfg = SearchConfig(9, include_plain=include_plain, checkpoint=path)
+        assert render_catalog(find_minimal_nonsplit(cfg)) == fresh
 
 
 # -- the host's edge numbering ----------------------------------------------------
