@@ -241,7 +241,6 @@ def _search_config(args) -> SearchConfig:
     return SearchConfig(
         max_edges=args.max_edges,
         require_three_connected=not args.unrestricted,
-        include_plain=args.include_plain,
         jobs=args.jobs,
         checkpoint=args.checkpoint,
     )
@@ -349,9 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--probabilistic",
         action="store_true",
-        help="random-evaluation screen over the 30 Dodgson polynomials",
+        help="exact zero test of the 30 Dodgson polynomials of --edges; lists those that vanish",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="no effect; echoed in the JSON output")
     common(p)
     p.set_defaults(func=_cmd_split_check)
 
@@ -375,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--unrestricted", action="store_true", help="drop the 3-connectivity restriction")
-    p.add_argument("--include-plain", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_search_minimal)
 
@@ -385,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--unrestricted", action="store_true")
-    p.add_argument("--include-plain", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_verify_catalog)
 

@@ -112,10 +112,6 @@ def boundary(g: MultiGraph, subset: Iterable[int]) -> frozenset[int]:
     return edge_vertices(g, a) & edge_vertices(g, g.edge_ids() - a)
 
 
-def separation_order(g: MultiGraph, subset: Iterable[int]) -> int:
-    return len(boundary(g, subset))
-
-
 def delete_edge(g: MultiGraph, e: int) -> MultiGraph:
     g.endpoints(e)
     return MultiGraph(g.vertices, {f: uv for f, uv in g.edges.items() if f != e})
@@ -248,28 +244,6 @@ def _int_det(mat: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def spanning_tree_count(g: MultiGraph) -> int:
-    """Number of spanning trees (matrix-tree); 0 exactly when G is disconnected."""
-    if g.n <= 1:
-        return 1
-    if not is_connected(g):
-        return 0
-    verts = sorted(g.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    lap = [[0] * n for _ in range(n)]
-    for a, b in g.edges.values():
-        if a == b:
-            continue
-        ia, ib = idx[a], idx[b]
-        lap[ia][ia] += 1
-        lap[ib][ib] += 1
-        lap[ia][ib] -= 1
-        lap[ib][ia] -= 1
-    reduced = [row[: n - 1] for row in lap[: n - 1]]
-    return _int_det(reduced)
 
 
 def spanning_trees(g: MultiGraph) -> Iterator[EdgeSubset]:

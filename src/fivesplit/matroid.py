@@ -91,11 +91,6 @@ class MinorOracle(RankOracle):
         return self._base.rank(subset | self._c) - self._base_c_rank
 
 
-class FreeMatroid(RankOracle):
-    def _rank(self, subset: frozenset[int]) -> int:
-        return len(subset)
-
-
 def matroid_sep_order(m: RankOracle, subset: Iterable[int]) -> int:
     """Connectivity-style order of the partition (A, E - A)."""
     a = frozenset(subset)
@@ -222,11 +217,9 @@ def caterpillar_width(m: RankOracle) -> int:
     n = len(ground)
     if n < 2:
         raise ValueError("caterpillar width needs at least two elements")
-    full = m.full_rank()
 
     def order_of(mask: int) -> int:
-        a = frozenset(ground[i] for i in range(n) if mask >> i & 1)
-        return m.rank(a) + m.rank(m.ground - a) - full + 1
+        return matroid_sep_order(m, (ground[i] for i in range(n) if mask >> i & 1))
 
     singleton_best = max(order_of(1 << i) for i in range(n))
     # g(A) = max(ord(A), min over e in A of g(A - e)), over proper nonempty A

@@ -1,4 +1,5 @@
-"""Reference graphs, planar duals from face structures, and stored dual pairs.
+"""Reference graphs, planar duals from face structures, and the registry of
+named graphs.
 
 All constructions use vertices 0..n-1 and edge ids 1..m assigned in
 lexicographic endpoint order (extra edges appended), so tests and the catalog
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .graph_core import MultiGraph, find_isomorphism
+from .graph_core import MultiGraph
 
 
 def _from_pairs(n: int, pairs: list[tuple[int, int]]) -> MultiGraph:
@@ -107,18 +108,6 @@ def h_graph() -> MultiGraph:
     return MultiGraph(g.vertices - {0}, edges)
 
 
-def h_graph_from_octahedron() -> MultiGraph:
-    """Octahedron with the face {0,2,4} replaced by a new degree-3 vertex."""
-    g = octahedron()
-    drop = {(0, 2), (0, 4), (2, 4)}
-    edges = {e: uv for e, uv in g.edges.items() if uv not in drop}
-    nxt = max(g.edges) + 1
-    for u in (0, 2, 4):
-        edges[nxt] = (u, 6)
-        nxt += 1
-    return MultiGraph(g.vertices | {6}, edges)
-
-
 def double_fan() -> MultiGraph:
     """Path 0-1-2-3 plus two nonadjacent vertices 4, 5 joined to every path vertex."""
     pairs = [(0, 1), (1, 2), (2, 3)] + [(i, a) for a in (4, 5) for i in range(4)]
@@ -166,37 +155,6 @@ def _face_of_cycle(g: MultiGraph, cycle: list[int]) -> frozenset[int]:
     )
 
 
-def cube_faces() -> list[frozenset[int]]:
-    g = cube()
-    faces = []
-    for bit in range(3):
-        for val in (0, 1):
-            vs = {v for v in range(8) if (v >> bit) & 1 == val}
-            faces.append(
-                frozenset(e for e, (a, b) in g.edges.items() if a in vs and b in vs)
-            )
-    return faces
-
-
-def wheel_faces(k: int) -> list[frozenset[int]]:
-    g = wheel(k)
-    faces = [_face_of_cycle(g, [i, (i + 1) % k, k]) for i in range(k)]
-    faces.append(wheel_rim_edges(k))
-    return faces
-
-
-def k5_minus_faces() -> list[frozenset[int]]:
-    g = k5_minus()
-    return [_face_of_cycle(g, list(t)) for t in
-            [(0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 4), (1, 2, 4), (0, 2, 4)]]
-
-
-def prism_plus_faces() -> list[frozenset[int]]:
-    g = prism_plus()
-    cycles = [[0, 1, 4], [0, 4, 3], [1, 2, 5, 4], [0, 2, 5, 3], [0, 1, 2], [3, 4, 5]]
-    return [_face_of_cycle(g, c) for c in cycles]
-
-
 def double_fan_faces() -> list[frozenset[int]]:
     g = double_fan()
     cycles = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 1, 5], [1, 2, 5], [2, 3, 5],
@@ -236,40 +194,3 @@ def named_graph(name: str) -> MultiGraph:
     """The registry graph called name (a registry name or an alias)."""
     return NAMED_GRAPHS[ALIASES.get(name, name)]()
 
-
-# -- stored dual pairs -------------------------------------------------------
-
-
-def _pair_via_faces(
-    g: MultiGraph, faces: list[frozenset[int]], reference: MultiGraph
-) -> dict[int, int]:
-    """Edge bijection g -> reference through the face dual.
-
-    The face dual carries g's edge ids; an isomorphism onto the reference
-    labelling then identifies each dual edge with a reference edge id.
-    """
-    dual = dual_from_faces(g, faces)
-    iso = find_isomorphism(dual, reference)
-    if iso is None:
-        raise ValueError("face dual does not match the reference graph")
-    return {
-        e: _edge_id_of(reference, iso[a], iso[b]) for e, (a, b) in dual.edges.items()
-    }
-
-
-def dual_pairs() -> list[tuple[str, MultiGraph, MultiGraph, dict[int, int]]]:
-    """Named matroid-dual pairs with explicit edge bijections.
-
-    Self-dual graphs appear paired with themselves under a nonidentity edge
-    bijection.  Validation (complement of every spanning tree maps to a
-    spanning tree) lives in the test suite.
-    """
-    out = []
-    out.append(("W4", wheel(4), wheel(4), _pair_via_faces(wheel(4), wheel_faces(4), wheel(4))))
-    out.append(("W5", wheel(5), wheel(5), _pair_via_faces(wheel(5), wheel_faces(5), wheel(5))))
-    out.append(("K5-/prism", k5_minus(), prism(), _pair_via_faces(k5_minus(), k5_minus_faces(), prism())))
-    out.append(("P+", prism_plus(), prism_plus(), _pair_via_faces(prism_plus(), prism_plus_faces(), prism_plus())))
-    out.append(("cube/octahedron", cube(), octahedron(), _pair_via_faces(cube(), cube_faces(), octahedron())))
-    dfd = double_fan_dual()
-    out.append(("D/D*", double_fan(), dfd, {e: e for e in double_fan().edges}))
-    return out

@@ -72,7 +72,6 @@ _MAX_UNRESTRICTED_EDGES = 8
 class SearchConfig:
     max_edges: int
     require_three_connected: bool = True
-    include_plain: bool = False
     jobs: int = 1
     checkpoint: str | Path | None = None
 
@@ -350,11 +349,9 @@ def _orbit_pairs(
     return pairs, perm
 
 
-def _host_entries(
-    g: MultiGraph, include_plain: bool
-) -> list[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
-    """Minor-minimal candidates (C, D, witness) on the simple graph g, one per
-    automorphism orbit of (C, D): the first member in table order."""
+def _host_entries(g: MultiGraph) -> list[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
+    """Minor-minimal candidates (C, D, witness) with C or D nonempty on the simple
+    graph g, one per automorphism orbit of (C, D): the first member in table order."""
     host = _Tables(g)
     rows = _config_minima(g, host)
     if not rows:
@@ -385,7 +382,7 @@ def _host_entries(
         if (c, d) in seen:
             continue
         seen.update((_image(p, c), _image(p, d)) for p in perms)
-        if not (include_plain or c or d):
+        if not (c or d):
             continue
         eg = EnhancedGraph(g, host.edges_of(c), host.edges_of(d))
         if not any(
@@ -411,16 +408,37 @@ def _host_from_wire(n: int, pairs: list) -> MultiGraph:
     return MultiGraph(range(n), {i + 1: (int(u), int(v)) for i, (u, v) in enumerate(pairs)})
 
 
-def _host_worker(args: tuple) -> list:
-    n, pairs, include_plain = args
-    g = _host_from_wire(n, pairs)
-    found = _host_entries(g, include_plain)
+def _host_worker(wire: list) -> list:
+    found = _host_entries(_host_from_wire(*wire))
     return [[sorted(c), sorted(d), sorted(w)] for c, d, w in found]
+
+
+def _record_ok(rec: object) -> bool:
+    """Is rec a record as `_Checkpoint.put` writes it: a wired host and a list
+    of [C, D, W] lists of the host's edge ids, C or D nonempty, W five ids?"""
+    try:
+        ids = range(1, len(rec["host"][1]) + 1)
+        found = rec["found"]
+    except (TypeError, KeyError, IndexError):
+        return False
+
+    def edge_ids(part: object) -> bool:
+        return isinstance(part, list) and all(type(e) is int and e in ids for e in part)
+
+    return isinstance(found, list) and all(
+        isinstance(item, list)
+        and len(item) == 3
+        and all(map(edge_ids, item))
+        and bool(item[0] or item[1])
+        and len(set(item[2])) == len(item[2]) == 5
+        for item in found
+    )
 
 
 class _Checkpoint:
     """Append-only JSONL of per-host results; a mismatched or damaged file is
-    discarded with a warning rather than trusted."""
+    discarded with a warning rather than trusted.  A record is damaged unless
+    `_record_ok` holds; loading stops at the first damaged line."""
 
     def __init__(self, cfg: SearchConfig):
         self.path = Path(cfg.checkpoint)
@@ -428,7 +446,6 @@ class _Checkpoint:
             "schema": 1,
             "max_edges": cfg.max_edges,
             "three_connected": cfg.require_three_connected,
-            "include_plain": cfg.include_plain,
         }
         self.done: dict[str, list] = {}
         self.disabled = False
@@ -454,10 +471,12 @@ class _Checkpoint:
         for line in lines[1:]:
             try:
                 rec = json.loads(line)
-                self.done[json.dumps(rec["host"])] = rec["found"]
-            except (ValueError, KeyError, TypeError):
+            except ValueError:
+                rec = None
+            if not _record_ok(rec):
                 warnings.warn(f"checkpoint {self.path} has a damaged tail; later hosts recompute")
                 break
+            self.done[json.dumps(rec["host"])] = rec["found"]
 
     def _rewrite(self) -> None:
         try:
@@ -489,7 +508,8 @@ class _Checkpoint:
 
 
 def find_minimal_nonsplit(cfg: SearchConfig) -> list[CatalogEntry]:
-    """All minor-minimal non-split enhanced graphs over the configured census.
+    """All minor-minimal non-split enhanced graphs with a protected edge over
+    the configured census.
 
     Entries are canonically labelled; dual partners are left unset (the
     catalog assembly fills them in).
@@ -503,7 +523,7 @@ def find_minimal_nonsplit(cfg: SearchConfig) -> list[CatalogEntry]:
     if ck is not None:
         found_by_host = {g.key(): f for g in hosts if (f := ck.get(g)) is not None}
     pending = [g for g in hosts if g.key() not in found_by_host]
-    args = [(*_host_wire(g), cfg.include_plain) for g in pending]
+    args = [_host_wire(g) for g in pending]
     workers = min(cfg.jobs, len(pending))
     with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for g, found in zip(pending, (pool.imap if pool else map)(_host_worker, args)):
@@ -518,8 +538,6 @@ def find_minimal_nonsplit(cfg: SearchConfig) -> list[CatalogEntry]:
         family = None
         for c_l, d_l, w_l in found:
             c, d, w = frozenset(c_l), frozenset(d_l), frozenset(w_l)
-            if not cfg.include_plain and not c and not d:
-                continue
             eg = EnhancedGraph(g, c, d)
             canon, wit, _ = canonical_labeling(eg, w)
             key = canonical_form(canon)
@@ -544,16 +562,12 @@ def _entry_sort_key(entry: CatalogEntry) -> tuple:
 def build_catalog(cfg: SearchConfig) -> list[CatalogEntry]:
     """Search results plus the plain minor-minimal members, dual partners set.
 
-    Plain entries come from the fixed forbidden-minor list rather than the
-    search (with include_plain the search rediscovers them; they are dropped
-    here to keep the assembly deterministic) and carry their first non-split
-    configuration as witness.
+    The search returns protected entries only.  The plain entries are the
+    graphs of `f0()` that fit the edge bound (K3,3 and K5 up to 11 edges; the
+    test suite checks that the plain candidates of the census are exactly
+    these), each with its first non-split configuration as witness.
     """
-    entries = [
-        e
-        for e in find_minimal_nonsplit(cfg)
-        if e.enhanced.contract_protected or e.enhanced.delete_protected
-    ]
+    entries = find_minimal_nonsplit(cfg)
     for pat in f0():
         if pat.graph.m > cfg.max_edges:
             continue

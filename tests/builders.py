@@ -6,7 +6,21 @@ import itertools
 
 from hypothesis import strategies as st
 
-from fivesplit.graph_core import MultiGraph
+from fivesplit.graph_core import MultiGraph, find_isomorphism
+from fivesplit.named_graphs import (
+    _edge_id_of,
+    _face_of_cycle,
+    cube,
+    double_fan,
+    double_fan_dual,
+    dual_from_faces,
+    k5_minus,
+    octahedron,
+    prism,
+    prism_plus,
+    wheel,
+    wheel_rim_edges,
+)
 from fivesplit.splitting import EnhancedGraph
 
 
@@ -35,6 +49,87 @@ def subdivided(g: MultiGraph, times: int) -> MultiGraph:
         for a, b in zip(path, path[1:]):
             edges[len(edges) + 1] = (a, b)
     return MultiGraph(g.vertices | set(range(first, nxt)), edges)
+
+
+def h_graph_from_octahedron() -> MultiGraph:
+    """Octahedron with the face {0,2,4} replaced by a new degree-3 vertex."""
+    g = octahedron()
+    drop = {(0, 2), (0, 4), (2, 4)}
+    edges = {e: uv for e, uv in g.edges.items() if uv not in drop}
+    nxt = max(g.edges) + 1
+    for u in (0, 2, 4):
+        edges[nxt] = (u, 6)
+        nxt += 1
+    return MultiGraph(g.vertices | {6}, edges)
+
+
+# -- stored dual pairs -------------------------------------------------------
+
+
+def cube_faces() -> list[frozenset[int]]:
+    g = cube()
+    faces = []
+    for bit in range(3):
+        for val in (0, 1):
+            vs = {v for v in range(8) if (v >> bit) & 1 == val}
+            faces.append(
+                frozenset(e for e, (a, b) in g.edges.items() if a in vs and b in vs)
+            )
+    return faces
+
+
+def wheel_faces(k: int) -> list[frozenset[int]]:
+    g = wheel(k)
+    faces = [_face_of_cycle(g, [i, (i + 1) % k, k]) for i in range(k)]
+    faces.append(wheel_rim_edges(k))
+    return faces
+
+
+def k5_minus_faces() -> list[frozenset[int]]:
+    g = k5_minus()
+    return [_face_of_cycle(g, list(t)) for t in
+            [(0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 4), (1, 2, 4), (0, 2, 4)]]
+
+
+def prism_plus_faces() -> list[frozenset[int]]:
+    g = prism_plus()
+    cycles = [[0, 1, 4], [0, 4, 3], [1, 2, 5, 4], [0, 2, 5, 3], [0, 1, 2], [3, 4, 5]]
+    return [_face_of_cycle(g, c) for c in cycles]
+
+
+def _pair_via_faces(
+    g: MultiGraph, faces: list[frozenset[int]], reference: MultiGraph
+) -> dict[int, int]:
+    """Edge bijection g -> reference through the face dual.
+
+    The face dual carries g's edge ids; an isomorphism onto the reference
+    labelling then identifies each dual edge with a reference edge id.
+    """
+    dual = dual_from_faces(g, faces)
+    iso = find_isomorphism(dual, reference)
+    if iso is None:
+        raise ValueError("face dual does not match the reference graph")
+    return {
+        e: _edge_id_of(reference, iso[a], iso[b]) for e, (a, b) in dual.edges.items()
+    }
+
+
+def dual_pairs() -> list[tuple[str, MultiGraph, MultiGraph, dict[int, int]]]:
+    """Named matroid-dual pairs with explicit edge bijections.
+
+    Self-dual graphs appear paired with themselves under a nonidentity edge
+    bijection.  Validation (complement of every spanning tree maps to a
+    spanning tree) lives in the tests that use them.
+    """
+    out = []
+    out.append(("W4", wheel(4), wheel(4), _pair_via_faces(wheel(4), wheel_faces(4), wheel(4))))
+    out.append(("W5", wheel(5), wheel(5), _pair_via_faces(wheel(5), wheel_faces(5), wheel(5))))
+    out.append(("K5-/prism", k5_minus(), prism(), _pair_via_faces(k5_minus(), k5_minus_faces(), prism())))
+    out.append(("P+", prism_plus(), prism_plus(), _pair_via_faces(prism_plus(), prism_plus_faces(), prism_plus())))
+    out.append(("cube/octahedron", cube(), octahedron(), _pair_via_faces(cube(), cube_faces(), octahedron())))
+    dfd = double_fan_dual()
+    out.append(("D/D*", double_fan(), dfd, {e: e for e in double_fan().edges}))
+    return out
 
 
 @st.composite

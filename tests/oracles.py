@@ -14,12 +14,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from fivesplit.graph_core import (
     EdgeSubset,
     MultiGraph,
+    _int_det,
     boundary,
     connected_components,
     contract_edge,
     delete_edge,
     edge_vertices,
     find_isomorphism,
+    is_connected,
     is_k_connected,
     pieces,
     spanning_trees,
@@ -110,6 +112,30 @@ def automorphism_count_by_permutations(g: MultiGraph) -> int:
         )
         count += mapped == multiplicity
     return count
+
+
+def spanning_tree_count(g: MultiGraph) -> int:
+    """Number of spanning trees by the matrix-tree theorem: the determinant of
+    the Laplacian with one row and column struck; 0 exactly when G is
+    disconnected."""
+    if g.n <= 1:
+        return 1
+    if not is_connected(g):
+        return 0
+    verts = sorted(g.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    lap = [[0] * n for _ in range(n)]
+    for a, b in g.edges.values():
+        if a == b:
+            continue
+        ia, ib = idx[a], idx[b]
+        lap[ia][ia] += 1
+        lap[ib][ib] += 1
+        lap[ia][ib] -= 1
+        lap[ib][ia] -= 1
+    reduced = [row[: n - 1] for row in lap[: n - 1]]
+    return _int_det(reduced)
 
 
 def _spanning_forests(g: MultiGraph) -> Iterator[EdgeSubset]:
@@ -357,6 +383,13 @@ def five_invariant_all_orderings_agree(
         if not five_invariant(g, list(perm)).equal_up_to_sign(base):
             return False
     return True
+
+
+class FreeMatroid(RankOracle):
+    """The free matroid: every subset is independent, r(S) = |S|."""
+
+    def _rank(self, subset: frozenset[int]) -> int:
+        return len(subset)
 
 
 def rank_axioms_hold(m: RankOracle, samples: int = 1000, seed: int = 0) -> bool:

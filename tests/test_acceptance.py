@@ -32,7 +32,6 @@ from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
     cube,
-    dual_pairs,
     h_graph,
     octahedron,
     subdivided_claw,
@@ -47,6 +46,7 @@ from fivesplit.splitting import (
     graph_splits,
 )
 from fivesplit.width import graph_width, has_width_le
+from builders import dual_pairs
 from oracles import enhanced_has_minor, is_matroid_dual_pair
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "catalog_max11.txt"

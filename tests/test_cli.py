@@ -389,6 +389,15 @@ def test_argparse_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    # the catalog commands have no --include-plain: the catalog takes its
+    # plain members from f0(), so the flag could not change their output
+    golden = str(Path(__file__).resolve().parent.parent / "data" / "catalog_max11.txt")
+    for argv in (
+        ["search-minimal", "--max-edges", "8", "--include-plain"],
+        ["verify-catalog", "--golden", golden, "--max-edges", "8", "--include-plain"],
+    ):
+        assert main(argv) == 2
+        assert "unrecognized arguments: --include-plain" in capsys.readouterr().err
 
 
 def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):

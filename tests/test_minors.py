@@ -40,7 +40,6 @@ from fivesplit.named_graphs import (
     cube,
     cycle_graph,
     h_graph,
-    h_graph_from_octahedron,
     named_graph,
     octahedron,
     path_graph,
@@ -49,7 +48,13 @@ from fivesplit.named_graphs import (
 )
 from fivesplit.search import SearchConfig, build_catalog, enumerate_underlying
 from fivesplit.splitting import EnhancedGraph, plain
-from builders import K4_CATALOG_LINE, chain_of_k4s, cycle_prism, subdivided
+from builders import (
+    K4_CATALOG_LINE,
+    chain_of_k4s,
+    cycle_prism,
+    h_graph_from_octahedron,
+    subdivided,
+)
 from oracles import _has_minor_recursive, enhanced_has_minor, is_matroid_dual_pair
 
 

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 import fivesplit.search as search_module
 from fivesplit.graph_core import MultiGraph, find_isomorphism, is_k_connected, isomorphisms
-from fivesplit.minors import canonical_form, enhanced_children, parse_catalog, render_catalog
+from fivesplit.cli import main
+from fivesplit.minors import (
+    canonical_form,
+    enhanced_children,
+    family_label,
+    parse_catalog,
+    render_catalog,
+)
 from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
@@ -173,16 +180,22 @@ def test_unrestricted_search_finds_the_same_entries():
 
 
 def test_include_plain_rediscovers_forbidden_graphs():
-    entries = find_minimal_nonsplit(SearchConfig(max_edges=9, include_plain=True))
-    plain_entries = [
-        e
-        for e in entries
-        if not e.enhanced.contract_protected and not e.enhanced.delete_protected
+    # The search skips plain candidates, and `build_catalog` takes the plain
+    # members from f0() instead.  This is the evidence: tested like the
+    # protected ones, the minimal plain candidates of the census are K3,3 up
+    # to 9 edges, and K3,3 and K5 up to 10.
+    plain = [
+        (m, family_label(g))
+        for m in range(6, 11)
+        for g in enumerate_underlying(m)
+        for c, d, _ in host_entries_by_frozensets(g, include_plain=True)
+        if not (c or d)
     ]
-    assert len(plain_entries) == 1
-    assert plain_entries[0].family == "K3,3"
-    protected = [e for e in entries if e not in plain_entries]
-    assert len(protected) == 25
+    assert [label for m, label in plain if m <= 9] == ["K3,3"]
+    assert sorted(label for _, label in plain) == ["K3,3", "K5"]
+    entries = find_minimal_nonsplit(SearchConfig(max_edges=9))
+    assert all(e.enhanced.contract_protected or e.enhanced.delete_protected for e in entries)
+    assert len(entries) == 25
 
 
 def test_parallel_search_is_deterministic():
@@ -287,19 +300,39 @@ def test_truncated_checkpoint_resumes_in_parallel(tmp_path):
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + len(hosts)
 
 
-def test_checkpoint_survives_damage(tmp_path):
+def test_checkpoint_survives_damage(tmp_path, capsys):
+    # A line that is not JSON, or a record whose items are not [C, D, W] lists
+    # of the host's edge ids with C or D nonempty and W five distinct ids, ends
+    # the load with a warning; that host and the later ones are recomputed.
     path = tmp_path / "progress.jsonl"
-    cfg = SearchConfig(max_edges=6, checkpoint=path)
-    base = find_minimal_nonsplit(cfg)
-    with open(path, "a") as fh:
-        fh.write("{not json\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        again = find_minimal_nonsplit(cfg)
-    assert any("checkpoint" in str(w.message).lower() for w in caught)
-    assert render_catalog([e.with_partner(None) for e in base]) == render_catalog(
-        [e.with_partner(None) for e in again]
-    )
+    argv = ["search-minimal", "--max-edges", "8", "--checkpoint", str(path)]
+    assert main(argv[:3]) == 0
+    fresh = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    host = json.loads(first)["host"]
+    damaged = [[header, first, *rest, "{not json"]]
+    for found in (
+        [[1, 2]],
+        [[[99], [], [1, 2, 3, 4, 5]]],
+        [[[], [1], [1, 2, 3, 4, 99]]],
+        [[[], [], [1, 2, 3, 4, 5]]],
+        [[[1], [], [1, 2, 3, 4]]],
+        [[[1], [], [1, 2, 3, 4, 4]]],
+        [[[True], [], [1, 2, 3, 4, 5]]],
+        {"found": []},
+    ):
+        damaged.append([header, json.dumps({"host": host, "found": found}), *rest])
+    damaged.append([header, json.dumps({"host": [4], "found": []}), *rest])
+    for lines in damaged:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 0, lines
+        assert any("damaged" in str(w.message) for w in caught), lines
+        assert capsys.readouterr().out == fresh, lines
 
 
 def test_checkpoint_header_mismatch_is_ignored(tmp_path):
@@ -310,6 +343,17 @@ def test_checkpoint_header_mismatch_is_ignored(tmp_path):
         entries = find_minimal_nonsplit(SearchConfig(max_edges=8, checkpoint=path))
     assert any("checkpoint" in str(w.message).lower() for w in caught)
     assert len(entries) == 11
+    # a header that still names the dropped include_plain setting is another
+    # setting: the file is ignored, and the result is that of a fresh run
+    fresh = render_catalog(entries)
+    _, *records = path.read_text(encoding="utf-8").splitlines()
+    old = {"schema": 1, "max_edges": 8, "three_connected": True, "include_plain": False}
+    path.write_text("\n".join([json.dumps(old), *records]) + "\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = find_minimal_nonsplit(SearchConfig(max_edges=8, checkpoint=path))
+    assert any("different settings" in str(w.message) for w in caught)
+    assert render_catalog(again) == fresh
 
 
 def _classes(g: MultiGraph, cds) -> dict[tuple, tuple]:
@@ -338,18 +382,17 @@ def test_host_entries_agree_with_the_engine():
             eg = EnhancedGraph(g, c, d)
             assert not config_splits(eg, s).splits
             minimal[(c, d)] = all(graph_splits(child)[0] for _, child in enhanced_children(eg))
-        for include_plain in (False, True):
-            kept = {(c, d): w for c, d, w in _host_entries(g, include_plain)}
-            assert set(kept) <= set(first)
-            for (c, d), s in first.items():
-                first_of_class = rep[classes[(c, d)]]
-                assert minimal[(c, d)] == minimal[first_of_class], (g.edges, c, d)
-                assert ((c, d) in kept) == (
-                    first_of_class == (c, d) and minimal[(c, d)] and (include_plain or bool(c or d))
-                ), (g.edges, c, d, include_plain)
-                if (c, d) in kept:
-                    assert kept[(c, d)] == s
-                checked += 1
+        kept = {(c, d): w for c, d, w in _host_entries(g)}
+        assert set(kept) <= set(first)
+        for (c, d), s in first.items():
+            first_of_class = rep[classes[(c, d)]]
+            assert minimal[(c, d)] == minimal[first_of_class], (g.edges, c, d)
+            assert ((c, d) in kept) == (
+                first_of_class == (c, d) and minimal[(c, d)] and bool(c or d)
+            ), (g.edges, c, d)
+            if (c, d) in kept:
+                assert kept[(c, d)] == s
+            checked += 1
     assert checked > 0
 
 
@@ -395,18 +438,15 @@ def test_host_entries_equal_the_frozenset_route():
     for m in range(6, 12):
         for g in enumerate_underlying(m):
             classes = _classes(g, set(frozenset_config_minima(g).values()))
-            for include_plain in (False, True):
-                oracle = host_entries_by_frozensets(g, include_plain)
-                kept = {classes[(c, d)] for c, d, _ in oracle}
-                assert {(c, d) for c, d, _ in oracle} == {
-                    cd for cd, key in classes.items() if key in kept and (include_plain or any(cd))
-                }, (g.edges, include_plain)
-                firsts = {}
-                for c, d, w in oracle:
-                    firsts.setdefault(classes[(c, d)], (c, d, w))
-                assert _host_entries(g, include_plain) == list(firsts.values()), (
-                    g.edges, include_plain
-                )
+            oracle = host_entries_by_frozensets(g, include_plain=False)
+            kept = {classes[(c, d)] for c, d, _ in oracle}
+            assert {(c, d) for c, d, _ in oracle} == {
+                cd for cd, key in classes.items() if key in kept and any(cd)
+            }, g.edges
+            firsts = {}
+            for c, d, w in oracle:
+                firsts.setdefault(classes[(c, d)], (c, d, w))
+            assert _host_entries(g) == list(firsts.values()), g.edges
 
 
 def test_orbit_tables_map_back_to_each_graphs_own_pairs():
@@ -437,24 +477,23 @@ def test_edge_automorphisms_refuse_parallel_edges():
     assert "\n" not in str(caught.value) and str(caught.value)
 
 
-@pytest.mark.parametrize("include_plain", [False, True])
-def test_checkpoint_listing_every_orbit_member_resumes(tmp_path, monkeypatch, include_plain):
+def test_checkpoint_listing_every_orbit_member_resumes(tmp_path, monkeypatch):
     # A record in the older format lists every kept row of a host, not one per
     # orbit; resuming from it, or from a fresh checkpoint, gives the same result.
-    fresh = render_catalog(find_minimal_nonsplit(SearchConfig(9, include_plain=include_plain)))
+    fresh = render_catalog(find_minimal_nonsplit(SearchConfig(9)))
     old = tmp_path / "every-member.jsonl"
-    header = {"schema": 1, "max_edges": 9, "three_connected": True, "include_plain": include_plain}
+    header = {"schema": 1, "max_edges": 9, "three_connected": True}
     records = []
     for m in range(6, 10):
         for g in enumerate_underlying(m):
-            found = host_entries_by_frozensets(g, include_plain)
+            found = host_entries_by_frozensets(g, include_plain=False)
             records.append({
                 "host": search_module._host_wire(g),
                 "found": [[sorted(c), sorted(d), sorted(w)] for c, d, w in found],
             })
     old.write_text("\n".join(json.dumps(r) for r in [header, *records]) + "\n", encoding="utf-8")
     new = tmp_path / "representatives.jsonl"
-    find_minimal_nonsplit(SearchConfig(9, include_plain=include_plain, checkpoint=new))
+    find_minimal_nonsplit(SearchConfig(9, checkpoint=new))
     lines = new.read_text(encoding="utf-8").splitlines()[1:]
     assert sum(len(json.loads(line)["found"]) for line in lines) < sum(
         len(r["found"]) for r in records
@@ -465,7 +504,7 @@ def test_checkpoint_listing_every_orbit_member_resumes(tmp_path, monkeypatch, in
 
     monkeypatch.setattr(search_module, "_host_worker", refuse)
     for path in (old, new):
-        cfg = SearchConfig(9, include_plain=include_plain, checkpoint=path)
+        cfg = SearchConfig(9, checkpoint=path)
         assert render_catalog(find_minimal_nonsplit(cfg)) == fresh
 
 

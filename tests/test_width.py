@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fivesplit
-from fivesplit.graph_core import MultiGraph, separation_order
+from fivesplit.graph_core import MultiGraph, boundary
 from fivesplit.named_graphs import (
     complete_graph,
     cube,
@@ -62,7 +62,7 @@ def test_width_matches_prefix_definition():
         order = sorted(g.edges)
         rng.shuffle(order)
         expect = max(
-            (separation_order(g, order[: i + 1]) for i in range(len(order) - 1)),
+            (len(boundary(g, order[: i + 1])) for i in range(len(order) - 1)),
             default=0,
         )
         assert ordering_width(g, order) == expect
