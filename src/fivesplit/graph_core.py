@@ -403,16 +403,19 @@ def _adjacency_counts(g: MultiGraph) -> dict[int, dict[int, int]]:
 class _IsoSide:
     """One graph's side of an isomorphism search, prepared once and reusable.
 
-    inv[v] is the degree of v refined twice by its neighbours' invariants;
-    order lists the vertices by (invariant, label), by_inv the vertices of each
-    invariant in ascending order, and profile the sorted invariants.
+    inv[v] is (degree of v, triangles through v in the underlying simple graph)
+    refined twice by its neighbours' invariants; order lists the vertices by
+    (invariant, label), by_inv the vertices of each invariant in ascending
+    order, and profile the sorted invariants as a tuple.
     """
 
     __slots__ = ("n", "m", "adj", "inv", "order", "by_inv", "profile")
 
     def __init__(self, g: MultiGraph):
         adj = _adjacency_counts(g)
-        inv = {v: (sum(adj[v].values()) + adj[v].get(v, 0),) for v in adj}
+        nbrs = {v: adj[v].keys() - {v} for v in adj}
+        tri = {v: sum(len(nbrs[v] & nbrs[w]) for w in nbrs[v]) // 2 for v in adj}
+        inv = {v: (sum(adj[v].values()) + adj[v].get(v, 0), tri[v]) for v in adj}
         for _ in range(2):
             inv = {
                 v: (inv[v], tuple(sorted((c, inv[w]) for w, c in adj[v].items())))
@@ -426,7 +429,7 @@ class _IsoSide:
         self.inv = inv
         self.order = sorted(g.vertices, key=lambda v: (inv[v], v))
         self.by_inv = by_inv
-        self.profile = sorted(inv.values())
+        self.profile = tuple(sorted(inv.values()))
 
 
 def isomorphisms(
@@ -434,7 +437,7 @@ def isomorphisms(
 ) -> Iterator[dict[int, int]]:
     """Every vertex bijection from g to h preserving edge multiplicities.
 
-    Backtracking over degree-invariant classes: g's vertices are placed in
+    Backtracking over vertex-invariant classes: g's vertices are placed in
     (invariant, label) order, each onto h's unused vertices of its invariant
     in ascending order, so the maps come in lexicographic order of their
     images.  Either side may be an `_IsoSide` prepared beforehand, which a

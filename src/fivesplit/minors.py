@@ -27,6 +27,7 @@ from typing import Iterator, Mapping, NamedTuple
 from . import named_graphs as ng
 from .graph_core import (
     MultiGraph,
+    _IsoSide,
     _check_vertex_count,
     _component_mask,
     blocks,
@@ -34,6 +35,7 @@ from .graph_core import (
     delete_edge,
     delete_vertex,
     edge_vertices,
+    find_isomorphism,
     spanning_trees,
 )
 from .splitting import EnhancedGraph
@@ -587,15 +589,10 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
 
 
 def family_label(g: MultiGraph) -> str:
-    """Name of the underlying-graph family, by canonical-form lookup.
-
-    A canonical key fixes the vertex and edge counts, so only registry graphs
-    of the same size are canonicalised.
-    """
-    key = canonical_graph_key(g)
+    """Name of the first registry graph isomorphic to g, or "?" if none is."""
+    side = _IsoSide(g)
     for name, build in ng.NAMED_GRAPHS.items():
-        ref = build()
-        if (ref.n, ref.m) == (g.n, g.m) and canonical_graph_key(ref) == key:
+        if find_isomorphism(side, build()) is not None:
             return name
     return "?"
 

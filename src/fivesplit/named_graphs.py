@@ -21,17 +21,6 @@ def _from_pairs(n: int, pairs: list[tuple[int, int]]) -> MultiGraph:
     return MultiGraph(range(n), {i + 1: uv for i, uv in enumerate(pairs)})
 
 
-def path_graph(k: int) -> MultiGraph:
-    """Path with k edges on vertices 0..k."""
-    return _from_pairs(k + 1, [(i, i + 1) for i in range(k)])
-
-
-def cycle_graph(n: int) -> MultiGraph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return _from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def complete_graph(n: int) -> MultiGraph:
     return _from_pairs(n, list(itertools.combinations(range(n), 2)))
 
@@ -40,24 +29,12 @@ def complete_bipartite(a: int, b: int) -> MultiGraph:
     return _from_pairs(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def triangle() -> MultiGraph:
-    return complete_graph(3)
-
-
 def wheel(k: int) -> MultiGraph:
     """Wheel with k rim vertices 0..k-1 and hub k; rim edges 1..k, spokes k+1..2k."""
     if k < 3:
         raise ValueError("wheel needs at least 3 rim vertices")
     pairs = [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
     return _from_pairs(k + 1, pairs)
-
-
-def wheel_rim_edges(k: int) -> frozenset[int]:
-    return frozenset(range(1, k + 1))
-
-
-def wheel_spoke_edges(k: int) -> frozenset[int]:
-    return frozenset(range(k + 1, 2 * k + 1))
 
 
 def k5_minus() -> MultiGraph:
@@ -113,12 +90,6 @@ def double_fan() -> MultiGraph:
     pairs = [(0, 1), (1, 2), (2, 3)] + [(i, a) for a in (4, 5) for i in range(4)]
     pairs = sorted(pairs)
     return _from_pairs(6, pairs)
-
-
-def subdivided_claw() -> MultiGraph:
-    """K_{1,3} with every edge subdivided once; six bridges."""
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]
-    return _from_pairs(7, pairs)
 
 
 # -- planar duals ------------------------------------------------------------

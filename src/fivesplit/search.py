@@ -61,6 +61,7 @@ from .splitting import (
     _bad_side,  # unused here; perfbench wraps this name to time the splitting layer
     _side_mask,
     _Tables,
+    config_splits,
     graph_splits,
 )
 
@@ -94,33 +95,8 @@ def _canonical_rep(g: MultiGraph) -> MultiGraph:
     return eg.graph
 
 
-def _iso_invariant(g: MultiGraph) -> tuple:
-    """Cheap isomorphism-invariant bucket key for census dedupe."""
-    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.edges.values():
-        if u == v:
-            adj[u] += [u, u]
-        else:
-            adj[u].append(v)
-            adj[v].append(u)
-    deg = {v: len(adj[v]) for v in g.vertices}
-    prof = tuple(sorted((deg[v], tuple(sorted(deg[w] for w in adj[v]))) for v in g.vertices))
-    pairs = {(min(u, v), max(u, v)) for u, v in g.edges.values() if u != v}
-    tri = tuple(
-        sorted(
-            sum(
-                1
-                for a, b in itertools.combinations(sorted(set(adj[v]) - {v}), 2)
-                if (a, b) in pairs
-            )
-            for v in g.vertices
-        )
-    )
-    return (g.n, g.m, prof, tri)
-
-
 class _IsoDedupe:
-    """Bucket by cheap invariants, confirm with an isomorphism search.
+    """Bucket by the profile of a graph's `_IsoSide`, confirm with the search.
 
     Full canonical forms degrade to n! work on regular graphs, so the census
     uses this instead and canonicalises only one representative per class.
@@ -132,8 +108,8 @@ class _IsoDedupe:
         self.buckets: dict[tuple, list[_IsoSide]] = {}
 
     def add(self, g: MultiGraph) -> bool:
-        reps = self.buckets.setdefault(_iso_invariant(g), [])
         side = _IsoSide(g)
+        reps = self.buckets.setdefault(side.profile, [])
         for rep in reps:
             if find_isomorphism(side, rep) is not None:
                 return False
@@ -301,8 +277,9 @@ def _edge_automorphisms(g: MultiGraph, host: _Tables) -> list[list[int]]:
             raise RuntimeError(
                 f"edges {by_ends[ends]} and {e} of the host share their endpoints"
             )
+    side = _IsoSide(g)
     perms = []
-    for iso in isomorphisms(g, g):
+    for iso in isomorphisms(side, side):
         perm = []
         for e in host.ids:
             u, v = g.edges[e]
@@ -413,24 +390,39 @@ def _host_worker(wire: list) -> list:
     return [[sorted(c), sorted(d), sorted(w)] for c, d, w in found]
 
 
+def _forced(host: MultiGraph, c: frozenset[int], d: frozenset[int], w: frozenset[int]) -> bool:
+    """Are c and d the forced minimal protections of w in host?  w must not
+    split in EnhancedGraph(host, c, d) and must split once any one protection
+    is dropped.  Minimality in the enhanced minor order is not checked again."""
+
+    def splits(c2: frozenset[int], d2: frozenset[int]) -> bool:
+        return config_splits(EnhancedGraph(host, c2, d2), w).splits
+
+    drops = [(c - {e}, d) for e in c] + [(c, d - {e}) for e in d]
+    return not splits(c, d) and all(splits(*cd) for cd in drops)
+
+
 def _record_ok(rec: object) -> bool:
-    """Is rec a record as `_Checkpoint.put` writes it: a wired host and a list
-    of [C, D, W] lists of the host's edge ids, C or D nonempty, W five ids?"""
+    """Is rec a record as `_Checkpoint.put` writes it: a wired host with at most
+    twice as many vertices as edges (none is isolated) and a list of [C, D, W]
+    lists of the host's edge ids, C or D nonempty and `_forced` for W?"""
     try:
-        ids = range(1, len(rec["host"][1]) + 1)
+        n, pairs = rec["host"]
+        host = _host_from_wire(n, pairs) if n <= 2 * len(pairs) else None
         found = rec["found"]
-    except (TypeError, KeyError, IndexError):
+    except (TypeError, KeyError, ValueError):
         return False
 
     def edge_ids(part: object) -> bool:
-        return isinstance(part, list) and all(type(e) is int and e in ids for e in part)
+        return isinstance(part, list) and all(type(e) is int and e in host.edges for e in part)
 
-    return isinstance(found, list) and all(
+    return host is not None and isinstance(found, list) and all(
         isinstance(item, list)
         and len(item) == 3
         and all(map(edge_ids, item))
         and bool(item[0] or item[1])
         and len(set(item[2])) == len(item[2]) == 5
+        and _forced(host, *map(frozenset, item))
         for item in found
     )
 

@@ -10,6 +10,8 @@ from fivesplit.graph_core import MultiGraph, find_isomorphism
 from fivesplit.named_graphs import (
     _edge_id_of,
     _face_of_cycle,
+    _from_pairs,
+    complete_graph,
     cube,
     double_fan,
     double_fan_dual,
@@ -19,9 +21,37 @@ from fivesplit.named_graphs import (
     prism,
     prism_plus,
     wheel,
-    wheel_rim_edges,
 )
 from fivesplit.splitting import EnhancedGraph
+
+
+def path_graph(k: int) -> MultiGraph:
+    """Path with k edges on vertices 0..k."""
+    return _from_pairs(k + 1, [(i, i + 1) for i in range(k)])
+
+
+def cycle_graph(n: int) -> MultiGraph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return _from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def triangle() -> MultiGraph:
+    return complete_graph(3)
+
+
+def wheel_rim_edges(k: int) -> frozenset[int]:
+    return frozenset(range(1, k + 1))
+
+
+def wheel_spoke_edges(k: int) -> frozenset[int]:
+    return frozenset(range(k + 1, 2 * k + 1))
+
+
+def subdivided_claw() -> MultiGraph:
+    """K_{1,3} with every edge subdivided once; six bridges."""
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]
+    return _from_pairs(7, pairs)
 
 
 def chain_of_k4s(count: int) -> MultiGraph:

@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from fivesplit import named_graphs as ng
 from fivesplit.graph_core import (
     EdgeSubset,
     MultiGraph,
@@ -28,7 +29,7 @@ from fivesplit.graph_core import (
 )
 from fivesplit.kirchhoff import five_invariant
 from fivesplit.matroid import RankOracle
-from fivesplit.minors import _simplified, canonical_form, enhanced_children
+from fivesplit.minors import _simplified, canonical_form, canonical_graph_key, enhanced_children
 from fivesplit.poly import MultiPoly
 from fivesplit.search import _canonical_rep, _IsoDedupe
 from fivesplit.splitting import (
@@ -112,6 +113,22 @@ def automorphism_count_by_permutations(g: MultiGraph) -> int:
         )
         count += mapped == multiplicity
     return count
+
+
+# `minors.family_label` before it used `find_isomorphism`: a lookup by
+# canonical form, so the two label routes share no isomorphism code.
+def family_label_by_canonical_keys(g: MultiGraph) -> str:
+    """Name of the underlying-graph family, by canonical-form lookup.
+
+    A canonical key fixes the vertex and edge counts, so only registry graphs
+    of the same size are canonicalised.
+    """
+    key = canonical_graph_key(g)
+    for name, build in ng.NAMED_GRAPHS.items():
+        ref = build()
+        if (ref.n, ref.m) == (g.n, g.m) and canonical_graph_key(ref) == key:
+            return name
+    return "?"
 
 
 def spanning_tree_count(g: MultiGraph) -> int:

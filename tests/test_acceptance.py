@@ -34,10 +34,7 @@ from fivesplit.named_graphs import (
     cube,
     h_graph,
     octahedron,
-    subdivided_claw,
     wheel,
-    wheel_rim_edges,
-    wheel_spoke_edges,
 )
 from fivesplit.search import SearchConfig, enumerate_underlying, find_minimal_nonsplit, verify_catalog
 from fivesplit.splitting import (
@@ -46,7 +43,7 @@ from fivesplit.splitting import (
     graph_splits,
 )
 from fivesplit.width import graph_width, has_width_le
-from builders import dual_pairs
+from builders import dual_pairs, subdivided_claw, wheel_rim_edges, wheel_spoke_edges
 from oracles import enhanced_has_minor, is_matroid_dual_pair
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "catalog_max11.txt"

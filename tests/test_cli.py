@@ -26,12 +26,18 @@ from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
     cube,
-    cycle_graph,
-    path_graph,
-    triangle,
     wheel,
 )
-from builders import FUZZ_GRAPH_TEXT, K4_CATALOG_LINE, chain_of_k4s, cycle_prism, subdivided
+from builders import (
+    FUZZ_GRAPH_TEXT,
+    K4_CATALOG_LINE,
+    chain_of_k4s,
+    cycle_graph,
+    cycle_prism,
+    path_graph,
+    subdivided,
+    triangle,
+)
 
 
 def _graph_file(tmp_path, name, g, c=(), d=()):

@@ -38,13 +38,18 @@ from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
     cube,
-    cycle_graph,
     octahedron,
-    path_graph,
-    triangle,
     wheel,
 )
-from builders import FUZZ_GRAPH_TEXT, cycle_prism, dual_pairs, scattered_multigraphs
+from builders import (
+    FUZZ_GRAPH_TEXT,
+    cycle_graph,
+    cycle_prism,
+    dual_pairs,
+    path_graph,
+    scattered_multigraphs,
+    triangle,
+)
 from oracles import (
     automorphism_count_by_permutations,
     is_matroid_dual_pair,

@@ -27,15 +27,13 @@ from fivesplit.kirchhoff import (
 from fivesplit.named_graphs import (
     complete_graph,
     cube,
-    cycle_graph,
     octahedron,
-    path_graph,
-    triangle,
     wheel,
 )
 from fivesplit.poly import MultiPoly, divexact
 from fivesplit.search import enumerate_underlying
 from fivesplit.splitting import config_splits
+from builders import cycle_graph, path_graph, triangle
 from oracles import divexact_by_leading_terms, five_invariant_all_orderings_agree, leibniz_det
 
 

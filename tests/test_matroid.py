@@ -23,14 +23,8 @@ from fivesplit.matroid import (
     matroid_intersection,
     matroid_sep_order,
 )
-from fivesplit.named_graphs import (
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    subdivided_claw,
-    triangle,
-    wheel,
-)
+from fivesplit.named_graphs import complete_graph, wheel
+from builders import cycle_graph, path_graph, subdivided_claw, triangle
 from oracles import FreeMatroid, rank_axioms_hold
 
 

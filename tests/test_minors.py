@@ -34,15 +34,14 @@ from fivesplit.minors import (
     render_catalog,
 )
 from fivesplit.named_graphs import (
+    ALIASES,
     NAMED_GRAPHS,
     complete_bipartite,
     complete_graph,
     cube,
-    cycle_graph,
     h_graph,
     named_graph,
     octahedron,
-    path_graph,
     prism,
     wheel,
 )
@@ -51,11 +50,18 @@ from fivesplit.splitting import EnhancedGraph, plain
 from builders import (
     K4_CATALOG_LINE,
     chain_of_k4s,
+    cycle_graph,
     cycle_prism,
     h_graph_from_octahedron,
+    path_graph,
     subdivided,
 )
-from oracles import _has_minor_recursive, enhanced_has_minor, is_matroid_dual_pair
+from oracles import (
+    _has_minor_recursive,
+    enhanced_has_minor,
+    family_label_by_canonical_keys,
+    is_matroid_dual_pair,
+)
 
 
 def test_basic_minor_facts():
@@ -517,6 +523,18 @@ def test_family_labels():
         assert family_label(build()) == name
     assert family_label(named_graph("cube")) == "C"
     assert family_label(named_graph("octahedron")) == "O"
+
+
+def test_family_label_agrees_with_the_canonical_key_lookup():
+    rng = random.Random(20)
+    graphs = [g for m in range(6, 12) for g in enumerate_underlying(m)]
+    graphs += [build() for build in NAMED_GRAPHS.values()]
+    graphs += [named_graph(alias) for alias in ALIASES]
+    graphs += [_relabel(plain(g), rng)[0].graph for g in graphs]
+    graphs.append(path_graph(3))
+    for g in graphs:
+        assert family_label(g) == family_label_by_canonical_keys(g)
+    assert family_label(path_graph(3)) == "?"
 
 
 def test_dual_bijection_cube_octahedron():

@@ -335,6 +335,36 @@ def test_checkpoint_survives_damage(tmp_path, capsys):
         assert capsys.readouterr().out == fresh, lines
 
 
+def test_forged_checkpoint_records_are_damage(tmp_path, capsys):
+    # Well-formed records whose protections are not the witness's forced
+    # minimal ones: under the first the witness splits, and the second holds a
+    # protection it does not need.  Either would put a false K4 entry in the
+    # catalog, so each is damage and the host is recomputed.
+    path = tmp_path / "progress.jsonl"
+    argv = ["search-minimal", "--max-edges", "6", "--checkpoint", str(path)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert not [w for w in caught if "checkpoint" in str(w.message)]
+    assert capsys.readouterr().out == fresh
+    header, k4 = path.read_text(encoding="utf-8").splitlines()
+    host = json.loads(k4)["host"]
+    for found in (
+        [[[1], [], [1, 2, 3, 4, 5]]],
+        [[[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]]],
+    ):
+        forged = json.dumps({"host": host, "found": found})
+        path.write_text(f"{header}\n{forged}\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 0, found
+        assert any("damaged" in str(w.message) for w in caught), found
+        assert capsys.readouterr().out == fresh, found
+
+
 def test_checkpoint_header_mismatch_is_ignored(tmp_path):
     path = tmp_path / "progress.jsonl"
     find_minimal_nonsplit(SearchConfig(max_edges=6, checkpoint=path))

@@ -29,12 +29,9 @@ from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
     cube,
-    cycle_graph,
     octahedron,
     prism,
     wheel,
-    wheel_rim_edges,
-    wheel_spoke_edges,
 )
 from fivesplit.search import _connected_census, enumerate_underlying
 from fivesplit.splitting import (
@@ -49,7 +46,13 @@ from fivesplit.splitting import (
     to_enhanced,
     witness_holds,
 )
-from builders import protected_multigraphs, scattered_multigraphs
+from builders import (
+    cycle_graph,
+    protected_multigraphs,
+    scattered_multigraphs,
+    wheel_rim_edges,
+    wheel_spoke_edges,
+)
 from oracles import _config_minima as frozenset_config_minima
 from oracles import (
     association_roundtrip_ok,

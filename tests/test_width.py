@@ -16,13 +16,11 @@ from fivesplit.graph_core import MultiGraph, boundary
 from fivesplit.named_graphs import (
     complete_graph,
     cube,
-    cycle_graph,
     octahedron,
-    path_graph,
-    subdivided_claw,
     wheel,
 )
 from fivesplit.width import graph_width, has_width_le, ordering_width
+from builders import cycle_graph, path_graph, subdivided_claw
 from oracles import graph_width_by_popcount
 
 
@@ -161,11 +159,11 @@ def test_zero_edge_graph_rejected():
 def test_width_certificate_survives_optimised_python():
     script = (
         "import fivesplit.width as w\n"
-        "from fivesplit.named_graphs import cycle_graph\n"
+        "from fivesplit.named_graphs import complete_graph\n"
         "assert False, 'asserts are on'\n"
         "w.ordering_width = lambda g, ordering: -1\n"
         "try:\n"
-        "    w.graph_width(cycle_graph(4))\n"
+        "    w.graph_width(complete_graph(4))\n"
         "except RuntimeError:\n"
         "    print('raised')\n"
     )
