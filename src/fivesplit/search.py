@@ -20,9 +20,11 @@ order is tested and returned.  The graphs derived from the host that an
 automorphism carries onto one another share one table of (C_min, D_min)
 pairs, and a query on any of them is carried into that table's coordinates.
 
-The default census contains the simple 3-connected graphs; an unrestricted
-mode (all connected simple graphs, small edge counts only) validates that the
-restriction loses nothing.
+The default census contains the simple 3-connected graphs, grown from wheels
+by Tutte's wheel theorem, checked once per class by `is_k_connected`, and
+sorted by the order in which a scan over edge subsets would meet them
+(`_census_key`).  An unrestricted mode (all connected simple graphs, small edge
+counts only) validates that the restriction loses nothing.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ import multiprocessing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph_core import (
     MultiGraph,
     _IsoSide,
+    _adjacency_counts,
     contract_edge,
     delete_edge,
     find_isomorphism,
@@ -56,6 +59,7 @@ from .minors import (
     family_label,
     render_catalog,
 )
+from .named_graphs import wheel
 from .splitting import (
     EnhancedGraph,
     _bad_side,  # unused here; perfbench wraps this name to time the splitting layer
@@ -117,64 +121,96 @@ class _IsoDedupe:
         return True
 
 
+def _wheel_children(g: MultiGraph) -> Iterator[MultiGraph]:
+    """The simple graphs with one edge more than g (vertices 0..n-1) that
+    Tutte's wheel theorem grows from it.
+
+    A child is g plus an edge between non-adjacent vertices, or g with a vertex
+    v of degree d >= 4 split: a new vertex w joined to v takes r of v's
+    neighbours, 2 <= r <= d - 2.  Giving w the other d - r neighbours instead
+    swaps the roles of v and w, so r stops at d / 2.
+    """
+    nbrs = _adjacency_counts(g)
+    pairs = sorted(g.edges.values())
+    for u, v in itertools.combinations(sorted(g.vertices), 2):
+        if v not in nbrs[u]:
+            yield MultiGraph(g.vertices, dict(enumerate(pairs + [(u, v)], 1)))
+    w = g.n
+    for v in sorted(g.vertices):
+        for r in range(2, len(nbrs[v]) // 2 + 1):
+            for moved in itertools.combinations(sorted(nbrs[v]), r):
+                gone = {(min(v, x), max(v, x)) for x in moved}
+                grown = [p for p in pairs if p not in gone] + [(x, w) for x in moved] + [(v, w)]
+                yield MultiGraph(range(w + 1), dict(enumerate(grown, 1)))
+
+
+def _census_key(g: MultiGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(n, the least sorted edge list over g's labellings 0..n-1 whose degrees
+    do not increase with the label), the same for every graph of g's class.
+
+    Over the pairs in row-major order (0, 1), (0, 2), ..., (1, 2), ..., the
+    least edge list is the greatest adjacency bit string.  Positions are filled
+    in order, each from the vertices of its degree, and a branch is cut once
+    an optimistic completion is no greater than the best string found: each
+    placed vertex's unplaced neighbours take the earliest free positions, and
+    every bit of an unplaced position's row is 1.
+    """
+    nbrs = _adjacency_counts(g)
+    n = g.n
+    degs = sorted((len(s) for s in nbrs.values()), reverse=True)
+    order: list[int] = []
+    best, best_order = -1, []
+
+    def bound() -> int:
+        i = len(order)
+        bits = 0
+        for j, v in enumerate(order):
+            for u in order[j + 1 :]:
+                bits = bits << 1 | (u in nbrs[v])
+            free = len(nbrs[v]) - sum(u in nbrs[v] for u in order)
+            bits = (bits << free | ((1 << free) - 1)) << (n - i - free)
+        ones = (n - i) * (n - i - 1) // 2
+        return bits << ones | ((1 << ones) - 1)
+
+    def place(i: int) -> None:
+        nonlocal best, best_order
+        if i == n:
+            best, best_order = bound(), list(order)
+            return
+        for v in sorted(nbrs):
+            if len(nbrs[v]) == degs[i] and v not in order:
+                order.append(v)
+                if bound() > best:
+                    place(i + 1)
+                order.pop()
+
+    place(0)
+    pos = {v: i for i, v in enumerate(best_order)}
+    return n, tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges.values()))
+
+
 def _three_connected_census(m: int) -> list[MultiGraph]:
     """Simple 3-connected graphs with exactly m edges, one per isomorphism class.
 
-    Min degree 3 forces 2m >= 3n, so n <= 2m/3; subsets of vertex pairs are
-    grown in lexicographic order.  Pruning: per-vertex degree cap, total
-    deficiency vs edges left, and the prefix freeze (pairs are sorted, so once
-    the scan passes a vertex's last pair its degree is final and must be >= 3).
-
-    Only labellings whose degrees do not increase with the label are grown.
-    Every graph has one (sort its vertices by degree, highest first), so every
-    isomorphism class is still met; each kept class is relabelled canonically,
-    so which member is met first does not show.  When the freeze passes vertex
-    u its degree is final, so the branch stops if deg[u] > deg[u - 1]; and a
-    pair (u, v) is skipped when deg[u] already equals deg[u - 1], because every
-    vertex below u is frozen by then.  The leaf checks the whole order again.
+    Tutte's wheel theorem ("A theory of 3-connected graphs", 1961): every such
+    graph other than a wheel comes from one with one edge fewer by adding an
+    edge or splitting a vertex (`_wheel_children`).  So level 6 is K4, and
+    level k is the wheel with k / 2 spokes when k is even plus every child of
+    level k - 1, one per class.  Each class of level m is checked by
+    `is_k_connected`, relabelled canonically, and the classes come in the order
+    of `_census_key`, the order in which a scan over edge subsets in
+    lexicographic order would meet them.
     """
-    out: list[MultiGraph] = []
-    dedupe = _IsoDedupe()
-    for n in range(4, 2 * m // 3 + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        total = len(pairs)
-        if m > total:
-            continue
-        cap = 3 + max(0, 2 * m - 3 * n)
-        deg = [0] * n
-        chosen: list[tuple[int, int]] = []
-
-        def rec(start: int) -> None:
-            k = len(chosen)
-            if k == m:
-                if min(deg) >= 3 and all(a >= b for a, b in zip(deg, deg[1:])):
-                    g = MultiGraph(range(n), {i + 1: p for i, p in enumerate(chosen)})
-                    if is_k_connected(g, 3) and dedupe.add(g):
-                        out.append(_canonical_rep(g))
-                return
-            if total - start < m - k:
-                return
-            if sum(3 - d for d in deg if d < 3) > 2 * (m - k):
-                return
-            frozen = 0
-            for i in range(start, total):
-                u, v = pairs[i]
-                while frozen < u:
-                    if deg[frozen] < 3 or (frozen and deg[frozen] > deg[frozen - 1]):
-                        return
-                    frozen += 1
-                if deg[u] >= cap or deg[v] >= cap or (u and deg[u] == deg[u - 1]):
-                    continue
-                deg[u] += 1
-                deg[v] += 1
-                chosen.append(pairs[i])
-                rec(i + 1)
-                chosen.pop()
-                deg[u] -= 1
-                deg[v] -= 1
-
-        rec(0)
-    return out
+    level: list[MultiGraph] = []
+    for k in range(6, m + 1):
+        dedupe = _IsoDedupe()
+        grown = [wheel(k // 2)] if k % 2 == 0 else []
+        grown += [h for g in level for h in _wheel_children(g)]
+        level = [h for h in grown if dedupe.add(h)]
+    for g in level:
+        if not is_k_connected(g, 3):
+            raise RuntimeError(f"census graph {sorted(g.edges.values())} is not 3-connected")
+    return sorted(map(_canonical_rep, level), key=_census_key)
 
 
 def _connected_census(m: int) -> list[MultiGraph]:

@@ -181,8 +181,8 @@ def is_matroid_dual_pair(
     return mapped == h_bases
 
 
-# `search._three_connected_census` without its degree-order pruning: it grows
-# every labelling of each class, so it checks that the pruning loses none.
+# `degree_ordered_census` without its degree-order pruning: it grows every
+# labelling of each class, so it checks that the pruning loses none.
 def _three_connected_census(m: int) -> list[MultiGraph]:
     """Simple 3-connected graphs with exactly m edges, one per isomorphism class.
 
@@ -233,6 +233,86 @@ def _three_connected_census(m: int) -> list[MultiGraph]:
 
         rec(0)
     return out
+
+
+# The brute-force census that the wheel generator of
+# `search._three_connected_census` replaced: it scans edge subsets in
+# lexicographic order, growing only labellings whose degrees do not increase
+# with the label, and keeps each class the first time it meets one.
+# `search._census_key` restates that order.
+def degree_ordered_census(m: int) -> list[MultiGraph]:
+    """Simple 3-connected graphs with exactly m edges, one per isomorphism class.
+
+    Min degree 3 forces 2m >= 3n, so n <= 2m/3; subsets of vertex pairs are
+    grown in lexicographic order.  Pruning: per-vertex degree cap, total
+    deficiency vs edges left, and the prefix freeze (pairs are sorted, so once
+    the scan passes a vertex's last pair its degree is final and must be >= 3).
+
+    Only labellings whose degrees do not increase with the label are grown.
+    Every graph has one (sort its vertices by degree, highest first), so every
+    isomorphism class is still met; each kept class is relabelled canonically,
+    so which member is met first does not show.  When the freeze passes vertex
+    u its degree is final, so the branch stops if deg[u] > deg[u - 1]; and a
+    pair (u, v) is skipped when deg[u] already equals deg[u - 1], because every
+    vertex below u is frozen by then.  The leaf checks the whole order again.
+    """
+    out: list[MultiGraph] = []
+    dedupe = _IsoDedupe()
+    for n in range(4, 2 * m // 3 + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        total = len(pairs)
+        if m > total:
+            continue
+        cap = 3 + max(0, 2 * m - 3 * n)
+        deg = [0] * n
+        chosen: list[tuple[int, int]] = []
+
+        def rec(start: int) -> None:
+            k = len(chosen)
+            if k == m:
+                if min(deg) >= 3 and all(a >= b for a, b in zip(deg, deg[1:])):
+                    g = MultiGraph(range(n), {i + 1: p for i, p in enumerate(chosen)})
+                    if is_k_connected(g, 3) and dedupe.add(g):
+                        out.append(_canonical_rep(g))
+                return
+            if total - start < m - k:
+                return
+            if sum(3 - d for d in deg if d < 3) > 2 * (m - k):
+                return
+            frozen = 0
+            for i in range(start, total):
+                u, v = pairs[i]
+                while frozen < u:
+                    if deg[frozen] < 3 or (frozen and deg[frozen] > deg[frozen - 1]):
+                        return
+                    frozen += 1
+                if deg[u] >= cap or deg[v] >= cap or (u and deg[u] == deg[u - 1]):
+                    continue
+                deg[u] += 1
+                deg[v] += 1
+                chosen.append(pairs[i])
+                rec(i + 1)
+                chosen.pop()
+                deg[u] -= 1
+                deg[v] -= 1
+
+        rec(0)
+    return out
+
+
+def census_key_by_scan(g: MultiGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """`search._census_key` by a plain scan: the least sorted edge list over
+    every labelling 0..n-1 that gives the positions, in order, vertices of
+    non-increasing degree."""
+    verts = sorted(g.vertices, key=lambda v: -g.degree(v))
+    classes = [list(grp) for _, grp in itertools.groupby(verts, key=g.degree)]
+    best = None
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        pos = {v: i for i, v in enumerate(itertools.chain.from_iterable(perms))}
+        edges = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges.values()))
+        if best is None or edges < best:
+            best = edges
+    return g.n, best
 
 
 @functools.lru_cache(maxsize=4096)

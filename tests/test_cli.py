@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -266,6 +267,15 @@ def test_search_minimal_stdout_and_file(tmp_path, capsys):
     entries = parse_catalog(out_path.read_text(encoding="utf-8"))
     assert len(entries) == 1
     assert entries[0].family == "K4"
+
+
+def test_search_minimal_to_twelve_edges_is_pinned(capsys):
+    # 39 entries: the 36 of data/catalog_max11.txt and the cube, H and the
+    # octahedron; the search finds no protected entry on a 12-edge host
+    code, out, _ = _run(capsys, "search-minimal", "--max-edges", "12")
+    assert code == 0
+    digest = hashlib.sha1(out.encode("utf-8")).hexdigest()
+    assert digest == "cdb799eff1fc57f664b31f7d21dd8e7ad4c1c9a2"
 
 
 def test_verify_catalog_command(tmp_path, capsys):

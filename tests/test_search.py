@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import warnings
 
 import networkx as nx
@@ -30,6 +31,7 @@ from fivesplit.named_graphs import (
 )
 from fivesplit.search import (
     SearchConfig,
+    _census_key,
     _config_minima,
     _edge_automorphisms,
     _host_entries,
@@ -42,8 +44,10 @@ from fivesplit.search import (
 )
 from fivesplit.splitting import EnhancedGraph, _Tables, config_splits, graph_splits
 from builders import protected_multigraphs, scattered_multigraphs
+import oracles
 from oracles import _config_minima as frozenset_config_minima
 from oracles import _three_connected_census as unpruned_census
+from oracles import census_key_by_scan, degree_ordered_census
 from oracles import host_entries_by_frozensets
 
 
@@ -77,7 +81,7 @@ def test_census_known_members():
 
 
 def test_census_members_are_three_connected_simple():
-    for m in range(6, 12):
+    for m in range(6, 13):
         for g in enumerate_underlying(m):
             assert g.m == m
             assert is_k_connected(g, 3)
@@ -109,20 +113,23 @@ def _brute_force_k6_census(m: int) -> list[MultiGraph]:
     return reps
 
 
-@pytest.mark.parametrize("m", [9, 10, 11])
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
 def test_census_matches_brute_force_on_six_vertices(m):
     expect = len(_brute_force_k6_census(m))
     got = sum(1 for g in enumerate_underlying(m) if g.n == 6)
     assert got == expect
 
 
-@pytest.mark.parametrize("m", range(6, 12))
+@pytest.mark.parametrize("m", range(6, 13))
 def test_degree_ordered_census_matches_the_unpruned_census(m):
-    old, new = unpruned_census(m), enumerate_underlying(m)
-    assert [g.key() for g in new] == [g.key() for g in old]
-    assert [canonical_form(EnhancedGraph(g)) for g in new] == [
-        canonical_form(EnhancedGraph(g)) for g in old
-    ]
+    # The unpruned brute force is too slow at 12 edges; the degree-ordered one,
+    # which agrees with it below 12, stands in there.
+    new = enumerate_underlying(m)
+    for old in [degree_ordered_census(m)] + ([unpruned_census(m)] if m < 12 else []):
+        assert [g.key() for g in new] == [g.key() for g in old]
+        assert [canonical_form(EnhancedGraph(g)) for g in new] == [
+            canonical_form(EnhancedGraph(g)) for g in old
+        ]
 
 
 def test_census_tests_only_degree_ordered_labellings(monkeypatch):
@@ -132,11 +139,27 @@ def test_census_tests_only_degree_ordered_labellings(monkeypatch):
         seen.append([g.degree(v) for v in sorted(g.vertices)])
         return is_k_connected(g, k)
 
-    monkeypatch.setattr(search_module, "is_k_connected", recording)
+    monkeypatch.setattr(oracles, "is_k_connected", recording)
     for m in (9, 10):
-        assert len(search_module._three_connected_census(m)) == len(enumerate_underlying(m))
+        assert len(degree_ordered_census(m)) == len(enumerate_underlying(m))
     assert seen
     assert all(degs == sorted(degs, reverse=True) for degs in seen)
+
+
+def test_census_key_equals_a_plain_scan():
+    # The pruned search for the key finds the scan's least edge list on every
+    # class, and the key does not depend on how a class is labelled.
+    rng = random.Random(21)
+    for m in range(6, 13):
+        for g in enumerate_underlying(m):
+            key = census_key_by_scan(g)
+            assert _census_key(g) == key
+            for _ in range(3):
+                labels = list(range(g.n))
+                rng.shuffle(labels)
+                relabelled = {e: (labels[u], labels[v]) for e, (u, v) in g.edges.items()}
+                h = MultiGraph(range(g.n), relabelled)
+                assert _census_key(h) == key
 
 
 def test_unrestricted_census_contains_lower_connectivity():
