@@ -12,10 +12,10 @@ contract-protected survivor.  All of them are weight non-increasing, where the
 weight is the edge count plus the protection count.
 
 Canonical forms label vertices by refined invariant cells and take the
-lexicographically least edge encoding over the per-cell permutations; the
-encoding colours each edge by its protection state (and optionally by
-configuration membership), so isomorphism of enhanced graphs is exactly
-equality of canonical forms.
+lexicographically least edge encoding over the per-cell permutations, found
+by a pruned search (`_least_order`); the encoding colours each edge by its
+protection state (and optionally by configuration membership), so
+isomorphism of enhanced graphs is exactly equality of canonical forms.
 """
 
 from __future__ import annotations
@@ -342,13 +342,75 @@ def _refined_cells(g: MultiGraph, colors: dict[int, int]) -> list[list[int]]:
     return [cells[k] for k in sorted(cells)]
 
 
+def _least_order(g: MultiGraph, cells: list[list[int]], colors: dict[int, int]) -> list[int]:
+    """The first vertex order, filling positions cell by cell, in the order of
+    `itertools.product` over each sorted cell's permutations, whose encoding
+    (sorted (min pos, max pos, colour) edge triples) is least.
+
+    A pair's rank is its sorted edge colours and then an end mark above every
+    colour, so comparing rows of ranks, row-major, compares encodings.  A
+    branch is cut only when its placed rows, each completed by its ranks to
+    the unplaced vertices in ascending order, rank above the best order's;
+    ties go on.  A vertex is skipped when an unplaced vertex of its cell with
+    a smaller label is its twin (equal loops, equal colours to every other
+    vertex): swapping the two is an automorphism, so the branches agree.
+    """
+    verts = sorted(g.vertices)
+    between: dict[tuple[int, int], list[int]] = {(a, b): [] for a in verts for b in verts}
+    for e, (a, b) in g.edges.items():
+        between[a, b].append(colors[e])
+        if a != b:
+            between[b, a].append(colors[e])
+    end = max(colors.values(), default=0) + 1
+    marks = {p: (*sorted(cs), end) for p, cs in between.items()}
+    names = {mark: i for i, mark in enumerate(sorted(set(marks.values())))}
+    rank = {a: {b: names[marks[a, b]] for b in verts} for a in verts}
+    twins = {
+        v: [u for u in cell[:i] if rank[u][u] == rank[v][v]
+            and all(rank[u][w] == rank[v][w] for w in verts if w not in (u, v))]
+        for cell in cells for i, v in enumerate(cell)
+    }
+    slots = [cell for cell in cells for _ in cell]
+    order: list[int] = []
+    free = set(verts)
+    best = [[len(names)]] * len(verts)  # above every row, so the first order replaces it
+    best_order: list[int] = []
+
+    def place(i: int) -> None:
+        nonlocal best, best_order
+        below = False
+        for r, v in enumerate(order):
+            row = [rank[v][u] for u in order[r:]] + sorted(rank[v][u] for u in free)
+            if row != best[r]:
+                if row > best[r]:
+                    return
+                below = True
+                break
+        if i == len(slots):
+            if below:
+                best = [[rank[v][u] for u in order[r:]] for r, v in enumerate(order)]
+                best_order = list(order)
+            return
+        for v in slots[i]:
+            if v in free and not any(u in free for u in twins[v]):
+                order.append(v)
+                free.remove(v)
+                place(i + 1)
+                order.pop()
+                free.add(v)
+
+    place(0)
+    return best_order
+
+
 def _least_encoding(
     eg: EnhancedGraph, config: frozenset[int] | None
 ) -> tuple[tuple, dict[int, int], dict[int, int]]:
     """The least edge encoding, the vertex positions giving it, and the edge colours.
 
     Only vertex orderings compatible with the refined invariant cells are
-    tried; the encoding is the sorted tuple of (u, v, colour) edge triples.
+    tried (`_least_order`); the encoding is the sorted tuple of
+    (u, v, colour) edge triples.
     """
     g = eg.graph
     if g.n > _MAX_CANON_VERTICES:
@@ -361,27 +423,9 @@ def _least_encoding(
             count *= i
         if count > _MAX_CANON_ORDERINGS:
             raise ValueError("graph is too symmetric for the canonical search")
-    best_enc: tuple | None = None
-    best_pos: dict[int, int] | None = None
-    for perm_parts in itertools.product(*(itertools.permutations(c) for c in cells)):
-        pos: dict[int, int] = {}
-        i = 0
-        for part in perm_parts:
-            for v in part:
-                pos[v] = i
-                i += 1
-        enc = tuple(
-            sorted(
-                (min(pos[u], pos[v]), max(pos[u], pos[v]), colors[e])
-                for e, (u, v) in g.edges.items()
-            )
-        )
-        if best_enc is None or enc < best_enc:
-            best_enc = enc
-            best_pos = pos
-    if best_enc is None or best_pos is None:
-        raise RuntimeError("canonical search tried no vertex ordering")
-    return best_enc, best_pos, colors
+    pos = {v: i for i, v in enumerate(_least_order(g, cells, colors))}
+    enc = tuple(sorted((*sorted((pos[u], pos[v])), colors[e]) for e, (u, v) in g.edges.items()))
+    return enc, pos, colors
 
 
 def canonical_labeling(
@@ -394,32 +438,16 @@ def canonical_labeling(
     encoding (sorted (u, v, colour) triples) is chosen.
     """
     g = eg.graph
-    _, best_pos, colors = _least_encoding(eg, config)
-    ordered = sorted(
-        g.edges,
-        key=lambda e: (
-            min(best_pos[g.edges[e][0]], best_pos[g.edges[e][1]]),
-            max(best_pos[g.edges[e][0]], best_pos[g.edges[e][1]]),
-            colors[e],
-            e,
-        ),
-    )
+    _, pos, colors = _least_encoding(eg, config)
+    ends = {e: tuple(sorted((pos[u], pos[v]))) for e, (u, v) in g.edges.items()}
+    ordered = sorted(g.edges, key=lambda e: (*ends[e], colors[e], e))
     edge_map = {e: i + 1 for i, e in enumerate(ordered)}
-    new_edges = {
-        edge_map[e]: (
-            min(best_pos[g.edges[e][0]], best_pos[g.edges[e][1]]),
-            max(best_pos[g.edges[e][0]], best_pos[g.edges[e][1]]),
-        )
-        for e in g.edges
-    }
     out = EnhancedGraph(
-        MultiGraph(range(g.n), new_edges),
+        MultiGraph(range(g.n), {edge_map[e]: ends[e] for e in g.edges}),
         frozenset(edge_map[e] for e in eg.contract_protected),
         frozenset(edge_map[e] for e in eg.delete_protected),
     )
-    new_config = (
-        frozenset(edge_map[e] for e in config) if config is not None else None
-    )
+    new_config = frozenset(edge_map[e] for e in config) if config is not None else None
     return out, new_config, edge_map
 
 

@@ -29,7 +29,16 @@ from fivesplit.graph_core import (
 )
 from fivesplit.kirchhoff import five_invariant
 from fivesplit.matroid import RankOracle
-from fivesplit.minors import _simplified, canonical_form, canonical_graph_key, enhanced_children
+from fivesplit.minors import (
+    _MAX_CANON_ORDERINGS,
+    _MAX_CANON_VERTICES,
+    _edge_colors,
+    _refined_cells,
+    _simplified,
+    canonical_form,
+    canonical_graph_key,
+    enhanced_children,
+)
 from fivesplit.poly import MultiPoly
 from fivesplit.search import _canonical_rep, _IsoDedupe
 from fivesplit.splitting import (
@@ -129,6 +138,62 @@ def family_label_by_canonical_keys(g: MultiGraph) -> str:
         if (ref.n, ref.m) == (g.n, g.m) and canonical_graph_key(ref) == key:
             return name
     return "?"
+
+
+# `minors._least_encoding` before `minors._least_order` pruned it: every
+# ordering of the refined cells is tried, and the first least one is kept.
+def least_encoding_by_product(
+    eg: EnhancedGraph, config: frozenset[int] | None
+) -> tuple[tuple, dict[int, int], dict[int, int]]:
+    """The least edge encoding, the vertex positions giving it, and the edge colours.
+
+    Only vertex orderings compatible with the refined invariant cells are
+    tried; the encoding is the sorted tuple of (u, v, colour) edge triples.
+    """
+    g = eg.graph
+    if g.n > _MAX_CANON_VERTICES:
+        raise ValueError(f"canonical forms support at most {_MAX_CANON_VERTICES} vertices")
+    colors = _edge_colors(eg, config)
+    cells = _refined_cells(g, colors)
+    count = 1
+    for cell in cells:
+        for i in range(2, len(cell) + 1):
+            count *= i
+        if count > _MAX_CANON_ORDERINGS:
+            raise ValueError("graph is too symmetric for the canonical search")
+    best_enc: tuple | None = None
+    best_pos: dict[int, int] | None = None
+    for perm_parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        pos: dict[int, int] = {}
+        i = 0
+        for part in perm_parts:
+            for v in part:
+                pos[v] = i
+                i += 1
+        enc = tuple(
+            sorted(
+                (min(pos[u], pos[v]), max(pos[u], pos[v]), colors[e])
+                for e, (u, v) in g.edges.items()
+            )
+        )
+        if best_enc is None or enc < best_enc:
+            best_enc = enc
+            best_pos = pos
+    if best_enc is None or best_pos is None:
+        raise RuntimeError("canonical search tried no vertex ordering")
+    return best_enc, best_pos, colors
+
+
+# The tree-sum route that `kirchhoff.kirchhoff_poly` ran beside the
+# determinant on every call before it kept the determinant alone.
+def kirchhoff_by_trees(g: MultiGraph) -> MultiPoly:
+    """The Kirchhoff polynomial as the sum, over spanning trees, of the
+    monomial of the edges outside the tree."""
+    out = MultiPoly.zero()
+    all_edges = g.edge_ids()
+    for t in spanning_trees(g):
+        out = out + MultiPoly.monomial(all_edges - t)
+    return out
 
 
 def spanning_tree_count(g: MultiGraph) -> int:

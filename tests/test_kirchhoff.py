@@ -33,8 +33,13 @@ from fivesplit.named_graphs import (
 from fivesplit.poly import MultiPoly, divexact
 from fivesplit.search import enumerate_underlying
 from fivesplit.splitting import config_splits
-from builders import cycle_graph, path_graph, triangle
-from oracles import divexact_by_leading_terms, five_invariant_all_orderings_agree, leibniz_det
+from builders import cycle_graph, path_graph, scattered_multigraphs, triangle
+from oracles import (
+    divexact_by_leading_terms,
+    five_invariant_all_orderings_agree,
+    kirchhoff_by_trees,
+    leibniz_det,
+)
 
 
 def _random_multigraph(rng: random.Random, n: int, m: int) -> MultiGraph:
@@ -68,6 +73,21 @@ def test_kirchhoff_is_homogeneous_multilinear():
 def test_kirchhoff_of_disconnected_graph_is_zero():
     g = MultiGraph(range(4), {1: (0, 1), 2: (2, 3)})
     assert kirchhoff_poly(g).is_zero()
+
+
+def test_kirchhoff_determinant_matches_the_tree_sum_on_the_census():
+    census = [g for m in range(1, 9) for g in enumerate_underlying(m, three_connected=False)]
+    assert len(census) == 358
+    for g in census:
+        assert kirchhoff_poly(g) == kirchhoff_by_trees(g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scattered_multigraphs(min_edges=1))
+def test_kirchhoff_determinant_matches_the_tree_sum_on_multigraphs(g):
+    # loops, parallel edges and isolated vertices; a disconnected graph has
+    # no spanning tree, so both routes give zero
+    assert kirchhoff_poly(g) == kirchhoff_by_trees(g)
 
 
 def test_deletion_contraction_identity():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -17,6 +18,7 @@ from fivesplit.minors import (
     CatalogEntry,
     MinorPattern,
     _connected_vertex_masks,
+    _least_encoding,
     _minor_search,
     _reduces_exactly,
     _simplified,
@@ -36,6 +38,7 @@ from fivesplit.minors import (
 from fivesplit.named_graphs import (
     ALIASES,
     NAMED_GRAPHS,
+    _from_pairs,
     complete_bipartite,
     complete_graph,
     cube,
@@ -56,11 +59,13 @@ from builders import (
     path_graph,
     subdivided,
 )
+import oracles
 from oracles import (
     _has_minor_recursive,
     enhanced_has_minor,
     family_label_by_canonical_keys,
     is_matroid_dual_pair,
+    least_encoding_by_product,
 )
 
 
@@ -358,6 +363,41 @@ def _relabel(eg: EnhancedGraph, rng: random.Random) -> EnhancedGraph:
     )
 
 
+GOLDEN = Path(__file__).resolve().parent.parent / "data" / "catalog_max11.txt"
+
+
+def _circulant(n: int, steps: tuple[int, ...]) -> MultiGraph:
+    pairs = {(min(i, (i + s) % n), max(i, (i + s) % n)) for i in range(n) for s in steps}
+    return _from_pairs(n, sorted(pairs))
+
+
+def _petersen() -> MultiGraph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return _from_pairs(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+_K3_BOX_K3 = _from_pairs(9, [
+    (u, v) for u, v in itertools.combinations(range(9), 2) if u // 3 == v // 3 or u % 3 == v % 3
+])
+
+_SYMMETRIC_GRAPHS = {
+    "cube": cube(),
+    "octahedron": octahedron(),
+    "K4,4": complete_bipartite(4, 4),
+    "K3xK3": _K3_BOX_K3,
+    "C8(1,2)": _circulant(8, (1, 2)),
+    "C8(1,3)": _circulant(8, (1, 3)),
+    "C8(1,4)": _circulant(8, (1, 4)),
+    "C9(1,2)": _circulant(9, (1, 2)),
+    "C9(1,3)": _circulant(9, (1, 3)),
+    "doubled C9": _from_pairs(9, list(_circulant(9, (1,)).edges.values()) * 2),
+    "9 isolated": MultiGraph(range(9), {}),
+    "3 triangles": _from_pairs(9, [(3 * t + a, 3 * t + b) for t in range(3)
+                                       for a, b in ((0, 1), (0, 2), (1, 2))]),
+}
+
+
 def test_canonical_form_is_isomorphism_invariant():
     rng = random.Random(3)
     base = EnhancedGraph(wheel(4), frozenset({1, 5}), frozenset({2}))
@@ -393,10 +433,98 @@ def test_canonical_labeling_round_trip():
     assert canonical_form(canon2) == canonical_form(canon)
 
 
-def test_canonical_form_rejects_oversized_graphs():
+def test_canonical_form_rejects_oversized_graphs(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the canonical search ran")
+
+    # both limits are checked before any search
+    monkeypatch.setattr(minors_module, "_least_order", no_search)
     big = cycle_graph(13)
     with pytest.raises(ValueError):
         canonical_form(EnhancedGraph(big))
+    # 10! orderings of the isolated vertices and 3,628,800 of the Petersen
+    # graph's one refined cell are both above the 2,000,000 limit
+    for g in (MultiGraph(range(10), {}), _petersen()):
+        with pytest.raises(ValueError, match="too symmetric"):
+            canonical_form(EnhancedGraph(g))
+
+
+def test_least_encoding_matches_the_product_on_the_catalog():
+    # the pruned search returns the brute force's encoding and the very
+    # positions it kept, so canonical labellings do not move
+    entries = parse_catalog(GOLDEN.read_text())
+    assert len(entries) == 36
+    for entry in entries:
+        for config in (entry.witness, None):
+            assert _least_encoding(entry.enhanced, config) == least_encoding_by_product(
+                entry.enhanced, config
+            )
+
+
+def test_least_encoding_matches_the_product_on_census_hosts():
+    rng = random.Random(23)
+    for m in range(6, 13):
+        for g in enumerate_underlying(m):
+            base = EnhancedGraph(g)
+            assert _least_encoding(base, None) == least_encoding_by_product(base, None)
+            for _ in range(2):
+                other, _ = _relabel(base, rng)
+                ids = sorted(other.graph.edges)
+                eg = EnhancedGraph(
+                    other.graph, frozenset(rng.sample(ids, 2)), frozenset(rng.sample(ids, 2))
+                )
+                witness = frozenset(rng.sample(ids, 5))
+                assert _least_encoding(eg, witness) == least_encoding_by_product(eg, witness)
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIC_GRAPHS))
+def test_least_encoding_matches_the_product_on_symmetric_graphs(name):
+    eg = EnhancedGraph(_SYMMETRIC_GRAPHS[name])
+    assert _least_encoding(eg, None) == least_encoding_by_product(eg, None)
+
+
+@st.composite
+def _coloured_multigraphs(draw, max_vertices: int = 9, min_edges: int = 0):
+    """Up to max_vertices vertices with gaps in their labels and min_edges to
+    14 edges: loops, parallel edges, isolated vertices, protections and
+    perhaps a witness."""
+    labels = sorted(draw(st.sets(st.integers(min_value=0, max_value=20), min_size=1,
+                                 max_size=max_vertices)))
+    vertex = st.sampled_from(labels)
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=min_edges, max_size=14))
+    g = MultiGraph(labels, {e: (min(u, v), max(u, v)) for e, (u, v) in enumerate(ends, 1)})
+    ids = sorted(g.edges)
+    c = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    d = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    config = draw(st.none() | st.sets(st.sampled_from(ids), max_size=5)) if ids else None
+    return EnhancedGraph(g, frozenset(c), frozenset(d)), config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coloured_multigraphs())
+def test_least_encoding_matches_the_product_on_multigraphs(case):
+    eg, config = case
+    assert _least_encoding(eg, config) == least_encoding_by_product(eg, config)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_coloured_multigraphs(max_vertices=7, min_edges=7))
+def test_least_encoding_matches_the_product_in_one_cell(case):
+    # With every vertex in one cell, twins must also agree on their loops,
+    # and a branch that ties with the best order must go on.
+    eg, config = case
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (minors_module, oracles):
+            mp.setattr(module, "_refined_cells", lambda g, colors: [sorted(g.vertices)])
+        assert _least_encoding(eg, config) == least_encoding_by_product(eg, config)
+
+
+def test_nine_isolated_vertices_are_canonical_at_once():
+    # 362,880 orderings: under the limit, and the twins leave one branch
+    start = time.perf_counter()
+    key = canonical_form(EnhancedGraph(MultiGraph(range(9), {})))
+    assert time.perf_counter() - start < 1.0
+    assert key == (9, ())
 
 
 def test_enhanced_children_operations():
