@@ -16,13 +16,16 @@ lexicographically least edge encoding over the per-cell permutations, found
 by a pruned search (`_least_order`); the encoding colours each edge by its
 protection state (and optionally by configuration membership), so
 isomorphism of enhanced graphs is exactly equality of canonical forms.
+
+A catalog entry's dual partner is its planar dual with C and D swapped, built
+on its peripheral cycles and found among the entries by that canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator
 
 from . import named_graphs as ng
 from .graph_core import (
@@ -36,7 +39,7 @@ from .graph_core import (
     delete_vertex,
     edge_vertices,
     find_isomorphism,
-    spanning_trees,
+    is_k_connected,
 )
 from .splitting import EnhancedGraph
 
@@ -625,156 +628,65 @@ def family_label(g: MultiGraph) -> str:
     return "?"
 
 
-# -- matroid-dual bijections between labelled graphs --------------------------
+# -- dual partners ------------------------------------------------------------
 
 
-class _TreeCounts(NamedTuple):
-    """A graph's spanning trees and how often edges and edge pairs lie in them."""
+def _peripheral_cycles(g: MultiGraph) -> list[frozenset[int]]:
+    """The induced cycles of a simple graph g whose removal leaves g connected,
+    as edge-id sets, in the order of their vertex bitmasks.
 
-    trees: frozenset[frozenset[int]]
-    per_edge: dict[int, int]
-    pairs: dict[tuple[int, int], int]
-
-
-def _tree_counts(g: MultiGraph) -> _TreeCounts:
-    trees = frozenset(spanning_trees(g))
-    edges = sorted(g.edges)
-    per_edge = {e: 0 for e in edges}
-    pairs = {(e, f): 0 for e in edges for f in edges}
-    for t in trees:
-        ts = sorted(t)
-        for e in ts:
-            per_edge[e] += 1
-            for f in ts:
-                pairs[(e, f)] += 1
-    return _TreeCounts(trees, per_edge, pairs)
-
-
-def find_dual_bijection(
-    g: MultiGraph,
-    h: MultiGraph,
-    tags_g: Mapping[int, object],
-    tags_h: Mapping[int, object],
-) -> dict[int, int] | None:
-    """Edge bijection mapping tree complements of g onto trees of h, or None.
-
-    Tags must correspond under the bijection (callers encode the
-    protection swap there).  Candidates are pruned by tree-count invariants:
-    an edge in a(e) trees of g must map to an edge in N - a(e) trees of h, and
-    pair counts transform as q(f, f') = N - b(f) - b(f') + both(f, f').
+    In a 3-connected graph they are the faces of every plane embedding, and
+    the graph is planar exactly when no edge lies on three of them (Tutte,
+    "How to draw a graph", 1963; Kelmans, 1981).
     """
-    return _dual_bijection(g, _tree_counts(g), h, _tree_counts(h), tags_g, tags_h)
-
-
-def _dual_bijection(
-    g: MultiGraph,
-    counts_g: _TreeCounts,
-    h: MultiGraph,
-    counts_h: _TreeCounts,
-    tags_g: Mapping[int, object],
-    tags_h: Mapping[int, object],
-) -> dict[int, int] | None:
-    """`find_dual_bijection` with each graph's tree counts given."""
-    trees_g, trees_h = counts_g.trees, counts_h.trees
-    n_trees = len(trees_g)
-    if n_trees == 0 or len(trees_h) != n_trees or g.m != h.m:
-        return None
-    ge, he = sorted(g.edges), sorted(h.edges)
-    a, pg = counts_g.per_edge, counts_g.pairs
-    b, ph = counts_h.per_edge, counts_h.pairs
-    qh = {
-        (e, f): n_trees - b[e] - b[f] + ph[(e, f)]
-        for e in he
-        for f in he
-        if e != f
-    }
-    for e in he:
-        qh[(e, e)] = n_trees - b[e]
-    key_g: dict[int, object] = {e: (a[e], tags_g.get(e)) for e in ge}
-    key_h: dict[int, object] = {f: (n_trees - b[f], tags_h.get(f)) for f in he}
-    for _ in range(2):
-        nxt_g = {
-            e: (key_g[e], tuple(sorted((repr(key_g[f]), pg[(e, f)]) for f in ge if f != e)))
-            for e in ge
-        }
-        nxt_h = {
-            f: (key_h[f], tuple(sorted((repr(key_h[f2]), qh[(f, f2)]) for f2 in he if f2 != f)))
-            for f in he
-        }
-        names = {
-            val: i
-            for i, val in enumerate(
-                sorted({repr(x) for x in nxt_g.values()} | {repr(x) for x in nxt_h.values()})
-            )
-        }
-        key_g = {e: names[repr(nxt_g[e])] for e in ge}
-        key_h = {f: names[repr(nxt_h[f])] for f in he}
-    if sorted(key_g.values()) != sorted(key_h.values()):
-        return None
-    class_size = {k: sum(1 for e in ge if key_g[e] == k) for k in set(key_g.values())}
-    order = sorted(ge, key=lambda e: (class_size[key_g[e]], e))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def full_check() -> bool:
-        all_g = g.edge_ids()
-        for t in trees_g:
-            image = frozenset(assigned[e] for e in all_g - t)
-            if image not in trees_h:
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return full_check()
-        e = order[i]
-        for f in he:
-            if f in used or key_h[f] != key_g[e]:
-                continue
-            if any(qh[(f, assigned[e2])] != pg[(e, e2)] for e2 in assigned):
-                continue
-            assigned[e] = f
-            used.add(f)
-            if extend(i + 1):
-                return True
-            del assigned[e]
-            used.discard(f)
-        return False
-
-    return dict(assigned) if extend(0) else None
+    verts = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for u, v in g.edges.values():
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    full = (1 << len(verts)) - 1
+    out = []
+    for mask in range(1, full + 1):
+        rest = full & ~mask
+        # a connected vertex set, each vertex with two neighbours in it, is an induced cycle
+        if (all((adj[i] & mask).bit_count() == 2 for i in range(len(verts)) if mask >> i & 1)
+                and _component_mask(adj, mask) == mask and _component_mask(adj, rest) == rest):
+            out.append(frozenset(
+                e for e, (u, v) in g.edges.items() if mask >> index[u] & mask >> index[v] & 1
+            ))
+    return out
 
 
 def assign_dual_partners(entries: list[CatalogEntry]) -> list[CatalogEntry]:
-    """Fill dual_partner indices: C and D swap under the matroid-dual bijection."""
-    partner: list[int | None] = [None] * len(entries)
-    # each entry's tree counts, computed when first compared; entry i is
-    # compared only with entries from i on, so it is dropped after its turn
-    counts: dict[int, _TreeCounts] = {}
-    for i, ei in enumerate(entries):
-        counts.pop(i - 1, None)
-        if partner[i] is not None:
-            continue
-        tags_i = {
-            e: (e in ei.enhanced.contract_protected, e in ei.enhanced.delete_protected)
-            for e in ei.enhanced.graph.edges
-        }
-        for j in range(i, len(entries)):
-            if partner[j] is not None and j != i:
-                continue
-            ej = entries[j]
-            if ej.enhanced.graph.m != ei.enhanced.graph.m or ej.weight != ei.weight:
-                continue
-            tags_j = {
-                f: (f in ej.enhanced.delete_protected, f in ej.enhanced.contract_protected)
-                for f in ej.enhanced.graph.edges
-            }
-            for k in (i, j):
-                if k not in counts:
-                    counts[k] = _tree_counts(entries[k].enhanced.graph)
-            if _dual_bijection(
-                ei.enhanced.graph, counts[i], ej.enhanced.graph, counts[j], tags_i, tags_j
-            ):
-                partner[i] = j
-                partner[j] = i
-                break
-    return [entries[i].with_partner(partner[i]) for i in range(len(entries))]
+    """Fill dual_partner indices: an entry's partner is its planar dual with C
+    and D swapped, found by canonical form.
+
+    Every entry must be simple and 3-connected, with a canonical form of its
+    own, or this raises `ValueError`.  Such a graph has at most one plane
+    embedding, whose faces are its peripheral cycles (Whitney, 1933), so by
+    Whitney's 2-isomorphism theorem the partner is the entry that a
+    matroid-dual bijection carrying C onto D reaches.  An entry with an edge
+    on three peripheral cycles is non-planar (K3,3, K5) and has no partner.
+    """
+    index: dict[tuple, int] = {}
+    for i, ent in enumerate(entries):
+        g = ent.enhanced.graph
+        if any(u == v for u, v in g.edges.values()) or len(set(g.edges.values())) != g.m:
+            raise ValueError(f"catalog entry {i} has a loop or a parallel pair")
+        if not is_k_connected(g, 3):
+            raise ValueError(f"catalog entry {i} is not 3-connected")
+        j = index.setdefault(canonical_form(ent.enhanced), i)
+        if j != i:
+            raise ValueError(f"catalog entries {j} and {i} have the same canonical form")
+    out = []
+    for ent in entries:
+        eg = ent.enhanced
+        faces = _peripheral_cycles(eg.graph)
+        partner = None
+        if all(sum(e in face for face in faces) == 2 for e in eg.graph.edges):
+            dual = ng.dual_from_faces(eg.graph, faces)
+            swapped = EnhancedGraph(dual, eg.delete_protected, eg.contract_protected)
+            partner = index.get(canonical_form(swapped))
+        out.append(ent.with_partner(partner))
+    return out

@@ -3,8 +3,9 @@ named graphs.
 
 All constructions use vertices 0..n-1 and edge ids 1..m assigned in
 lexicographic endpoint order (extra edges appended), so tests and the catalog
-can refer to them stably.  Planar duals are built from explicit face lists
-(each face a set of edge ids); the face structures are validated locally
+can refer to them stably.  Planar duals are built from face lists (each face
+a set of edge ids): the curated ones here, and each catalog entry's peripheral
+cycles (`minors.assign_dual_partners`).  A face structure is validated locally
 (every edge on exactly two faces, Euler count) and globally by the brute-force
 matroid duality check in the test suite.
 """

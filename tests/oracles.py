@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fivesplit import named_graphs as ng
 from fivesplit.graph_core import (
@@ -32,6 +32,7 @@ from fivesplit.matroid import RankOracle
 from fivesplit.minors import (
     _MAX_CANON_ORDERINGS,
     _MAX_CANON_VERTICES,
+    CatalogEntry,
     _edge_colors,
     _refined_cells,
     _simplified,
@@ -643,3 +644,163 @@ def divexact_by_leading_terms(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         quotient[qm] = quotient.get(qm, 0) + rc // dc
         r = r - MultiPoly({qm: rc // dc}) * d
     return MultiPoly(quotient)
+
+
+# -- dual partners by matroid-dual bijections --------------------------------
+
+
+class _TreeCounts(NamedTuple):
+    """A graph's spanning trees and how often edges and edge pairs lie in them."""
+
+    trees: frozenset[frozenset[int]]
+    per_edge: dict[int, int]
+    pairs: dict[tuple[int, int], int]
+
+
+def _tree_counts(g: MultiGraph) -> _TreeCounts:
+    trees = frozenset(spanning_trees(g))
+    edges = sorted(g.edges)
+    per_edge = {e: 0 for e in edges}
+    pairs = {(e, f): 0 for e in edges for f in edges}
+    for t in trees:
+        ts = sorted(t)
+        for e in ts:
+            per_edge[e] += 1
+            for f in ts:
+                pairs[(e, f)] += 1
+    return _TreeCounts(trees, per_edge, pairs)
+
+
+def find_dual_bijection(
+    g: MultiGraph,
+    h: MultiGraph,
+    tags_g: Mapping[int, object],
+    tags_h: Mapping[int, object],
+) -> dict[int, int] | None:
+    """Edge bijection mapping tree complements of g onto trees of h, or None.
+
+    Tags must correspond under the bijection (callers encode the
+    protection swap there).  Candidates are pruned by tree-count invariants:
+    an edge in a(e) trees of g must map to an edge in N - a(e) trees of h, and
+    pair counts transform as q(f, f') = N - b(f) - b(f') + both(f, f').
+    """
+    return _dual_bijection(g, _tree_counts(g), h, _tree_counts(h), tags_g, tags_h)
+
+
+def _dual_bijection(
+    g: MultiGraph,
+    counts_g: _TreeCounts,
+    h: MultiGraph,
+    counts_h: _TreeCounts,
+    tags_g: Mapping[int, object],
+    tags_h: Mapping[int, object],
+) -> dict[int, int] | None:
+    """`find_dual_bijection` with each graph's tree counts given."""
+    trees_g, trees_h = counts_g.trees, counts_h.trees
+    n_trees = len(trees_g)
+    if n_trees == 0 or len(trees_h) != n_trees or g.m != h.m:
+        return None
+    ge, he = sorted(g.edges), sorted(h.edges)
+    a, pg = counts_g.per_edge, counts_g.pairs
+    b, ph = counts_h.per_edge, counts_h.pairs
+    qh = {
+        (e, f): n_trees - b[e] - b[f] + ph[(e, f)]
+        for e in he
+        for f in he
+        if e != f
+    }
+    for e in he:
+        qh[(e, e)] = n_trees - b[e]
+    key_g: dict[int, object] = {e: (a[e], tags_g.get(e)) for e in ge}
+    key_h: dict[int, object] = {f: (n_trees - b[f], tags_h.get(f)) for f in he}
+    for _ in range(2):
+        nxt_g = {
+            e: (key_g[e], tuple(sorted((repr(key_g[f]), pg[(e, f)]) for f in ge if f != e)))
+            for e in ge
+        }
+        nxt_h = {
+            f: (key_h[f], tuple(sorted((repr(key_h[f2]), qh[(f, f2)]) for f2 in he if f2 != f)))
+            for f in he
+        }
+        names = {
+            val: i
+            for i, val in enumerate(
+                sorted({repr(x) for x in nxt_g.values()} | {repr(x) for x in nxt_h.values()})
+            )
+        }
+        key_g = {e: names[repr(nxt_g[e])] for e in ge}
+        key_h = {f: names[repr(nxt_h[f])] for f in he}
+    if sorted(key_g.values()) != sorted(key_h.values()):
+        return None
+    class_size = {k: sum(1 for e in ge if key_g[e] == k) for k in set(key_g.values())}
+    order = sorted(ge, key=lambda e: (class_size[key_g[e]], e))
+    assigned: dict[int, int] = {}
+    used: set[int] = set()
+
+    def full_check() -> bool:
+        all_g = g.edge_ids()
+        for t in trees_g:
+            image = frozenset(assigned[e] for e in all_g - t)
+            if image not in trees_h:
+                return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return full_check()
+        e = order[i]
+        for f in he:
+            if f in used or key_h[f] != key_g[e]:
+                continue
+            if any(qh[(f, assigned[e2])] != pg[(e, e2)] for e2 in assigned):
+                continue
+            assigned[e] = f
+            used.add(f)
+            if extend(i + 1):
+                return True
+            del assigned[e]
+            used.discard(f)
+        return False
+
+    return dict(assigned) if extend(0) else None
+
+
+def dual_partners_by_tree_bijection(entries: list[CatalogEntry]) -> list[int | None]:
+    """Each entry's dual partner index, or None, by tree counts and a bijection search.
+
+    Entries are paired greedily in order: entry i takes the first unpaired
+    entry j >= i with its edge count and weight that `_dual_bijection`
+    matches with C and D swapped.
+    """
+    partner: list[int | None] = [None] * len(entries)
+    # each entry's tree counts, computed when first compared; entry i is
+    # compared only with entries from i on, so it is dropped after its turn
+    counts: dict[int, _TreeCounts] = {}
+    for i, ei in enumerate(entries):
+        counts.pop(i - 1, None)
+        if partner[i] is not None:
+            continue
+        tags_i = {
+            e: (e in ei.enhanced.contract_protected, e in ei.enhanced.delete_protected)
+            for e in ei.enhanced.graph.edges
+        }
+        for j in range(i, len(entries)):
+            if partner[j] is not None and j != i:
+                continue
+            ej = entries[j]
+            if ej.enhanced.graph.m != ei.enhanced.graph.m or ej.weight != ei.weight:
+                continue
+            tags_j = {
+                f: (f in ej.enhanced.delete_protected, f in ej.enhanced.contract_protected)
+                for f in ej.enhanced.graph.edges
+            }
+            for k in (i, j):
+                if k not in counts:
+                    counts[k] = _tree_counts(entries[k].enhanced.graph)
+            if _dual_bijection(
+                ei.enhanced.graph, counts[i], ej.enhanced.graph, counts[j], tags_i, tags_j
+            ):
+                partner[i] = j
+                partner[j] = i
+                break
+    return partner

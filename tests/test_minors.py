@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fivesplit.minors as minors_module
-from fivesplit.graph_core import _MAX_PARSED_VERTICES, MultiGraph, find_isomorphism, spanning_trees
+from fivesplit.graph_core import _MAX_PARSED_VERTICES, MultiGraph, find_isomorphism
 from fivesplit.minors import (
     CatalogEntry,
     MinorPattern,
     _connected_vertex_masks,
     _least_encoding,
     _minor_search,
+    _peripheral_cycles,
     _reduces_exactly,
     _simplified,
     assign_dual_partners,
@@ -30,7 +31,6 @@ from fivesplit.minors import (
     f0,
     f0_free,
     family_label,
-    find_dual_bijection,
     has_minor,
     parse_catalog,
     render_catalog,
@@ -42,22 +42,31 @@ from fivesplit.named_graphs import (
     complete_bipartite,
     complete_graph,
     cube,
+    double_fan,
+    double_fan_faces,
+    dual_from_faces,
     h_graph,
+    k5_minus,
     named_graph,
     octahedron,
     prism,
+    prism_plus,
     wheel,
 )
 from fivesplit.search import SearchConfig, build_catalog, enumerate_underlying
-from fivesplit.splitting import EnhancedGraph, plain
+from fivesplit.splitting import EnhancedGraph, config_splits, plain
 from builders import (
     K4_CATALOG_LINE,
     chain_of_k4s,
+    cube_faces,
     cycle_graph,
     cycle_prism,
     h_graph_from_octahedron,
+    k5_minus_faces,
     path_graph,
+    prism_plus_faces,
     subdivided,
+    wheel_faces,
 )
 import oracles
 from oracles import (
@@ -666,12 +675,12 @@ def test_family_label_agrees_with_the_canonical_key_lookup():
 
 
 def test_dual_bijection_cube_octahedron():
-    bij = find_dual_bijection(cube(), octahedron(), {}, {})
+    bij = oracles.find_dual_bijection(cube(), octahedron(), {}, {})
     assert bij is not None
     assert is_matroid_dual_pair(cube(), octahedron(), bij)
-    assert find_dual_bijection(wheel(4), wheel(4), {}, {}) is not None
-    assert find_dual_bijection(cube(), cube(), {}, {}) is None
-    assert find_dual_bijection(complete_graph(4), complete_graph(4), {}, {}) is not None
+    assert oracles.find_dual_bijection(wheel(4), wheel(4), {}, {}) is not None
+    assert oracles.find_dual_bijection(cube(), cube(), {}, {}) is None
+    assert oracles.find_dual_bijection(complete_graph(4), complete_graph(4), {}, {}) is not None
 
 
 def test_dual_bijection_respects_tags():
@@ -681,7 +690,7 @@ def test_dual_bijection_respects_tags():
     tags_g = {e: ("c" if e == 5 else None) for e in g.edges}
     for target_tag in ("c", None):
         tags_h = {e: (target_tag if e == 1 else None) for e in g.edges}
-        bij = find_dual_bijection(g, g, tags_g, tags_h)
+        bij = oracles.find_dual_bijection(g, g, tags_g, tags_h)
         if target_tag == "c":
             # tags travel as given: matching c-tag must land on edge 1
             assert bij is None or bij[5] == 1
@@ -689,18 +698,9 @@ def test_dual_bijection_respects_tags():
             assert bij is None or bij[5] != 1
 
 
-def test_assign_dual_partners_on_small_catalog(monkeypatch):
+def test_assign_dual_partners_on_small_catalog():
     entries = build_catalog(SearchConfig(max_edges=8))
-    enumerated = []
-
-    def counting(g):
-        enumerated.append(g)
-        return spanning_trees(g)
-
-    monkeypatch.setattr(minors_module, "spanning_trees", counting)
     withp = assign_dual_partners([e.with_partner(None) for e in entries])
-    # each entry's trees are enumerated once, not once per comparison
-    assert len(enumerated) == len(entries)
     for i, entry in enumerate(withp):
         assert entry.dual_partner is not None
         j = entry.dual_partner
@@ -709,3 +709,153 @@ def test_assign_dual_partners_on_small_catalog(monkeypatch):
     # K4(1) is self-dual
     k4_idx = next(i for i, e in enumerate(withp) if e.family == "K4")
     assert withp[k4_idx].dual_partner == k4_idx
+
+
+# -- faces and dual partners from peripheral cycles ---------------------------
+
+
+def _faces_by_networkx(g: MultiGraph) -> list[frozenset[int]] | None:
+    """The faces of a simple graph's plane embedding found by networkx, or None
+    when networkx finds it non-planar."""
+    planar, emb = nx.check_planarity(nx.Graph(list(g.edges.values())))
+    if not planar:
+        return None
+    eid = {frozenset(uv): e for e, uv in g.edges.items()}
+    faces, seen = [], set()
+    for u, v in emb.edges():
+        if (u, v) not in seen:
+            cyc = emb.traverse_face(u, v, mark_half_edges=seen)
+            faces.append(frozenset(eid[frozenset(p)] for p in zip(cyc, cyc[1:] + cyc[:1])))
+    return faces
+
+
+def _on_two_faces(g: MultiGraph) -> bool:
+    faces = _peripheral_cycles(g)
+    return all(sum(e in f for f in faces) == 2 for e in g.edges)
+
+
+def test_peripheral_cycles_are_the_curated_faces():
+    cases = [
+        (cube(), cube_faces()),
+        (wheel(4), wheel_faces(4)),
+        (wheel(5), wheel_faces(5)),
+        (k5_minus(), k5_minus_faces()),
+        (prism_plus(), prism_plus_faces()),
+        (double_fan(), double_fan_faces()),
+    ]
+    for g, faces in cases:
+        assert set(_peripheral_cycles(g)) == set(faces)
+    for g in (complete_graph(5), complete_bipartite(3, 3)):
+        cycles = _peripheral_cycles(g)
+        assert max(sum(e in c for c in cycles) for e in g.edges) >= 3
+
+
+def test_peripheral_cycles_decide_planarity_on_the_census():
+    planar = 0
+    for m in range(6, 13):
+        for g in enumerate_underlying(m):
+            two = _on_two_faces(g)
+            assert two == (not has_minor(g, complete_graph(5))
+                           and not has_minor(g, complete_bipartite(3, 3)))
+            faces = _faces_by_networkx(g)
+            assert (faces is not None) == two
+            if two:
+                assert set(_peripheral_cycles(g)) == set(faces)
+                planar += 1
+    assert planar == 22
+
+
+def test_split_verdicts_transfer_to_the_dual_of_every_planar_census_graph():
+    configs = 0
+    for m in range(6, 13):
+        for g in enumerate_underlying(m):
+            if not _on_two_faces(g):
+                continue
+            dual = dual_from_faces(g, _peripheral_cycles(g))
+            assert is_matroid_dual_pair(g, dual, {e: e for e in g.edges})
+            for s in itertools.combinations(sorted(g.edges), 5):
+                assert config_splits(g, s).splits == config_splits(dual, s).splits
+                configs += 1
+    assert configs == 12_170
+
+
+def _entry(eg: EnhancedGraph) -> CatalogEntry:
+    return CatalogEntry(eg, frozenset(), "?", eg.weight, None)
+
+
+def _shuffled_pool(m: int, rng: random.Random) -> list[CatalogEntry]:
+    """Two randomly protected, relabelled copies of each census graph with m
+    edges and, for most planar copies, the relabelled networkx dual with C and
+    D swapped, one entry per canonical form, shuffled."""
+    pool: list[EnhancedGraph] = []
+    for g in enumerate_underlying(m):
+        faces = _faces_by_networkx(g)
+        for _ in range(2):
+            c = frozenset(e for e in g.edges if rng.random() < 0.3)
+            d = frozenset(e for e in g.edges if rng.random() < 0.3)
+            pool.append(_relabel(EnhancedGraph(g, c, d), rng)[0])
+            if faces is not None and rng.random() < 0.7:
+                dual = EnhancedGraph(dual_from_faces(g, faces), d, c)
+                pool.append(_relabel(dual, rng)[0])
+    rng.shuffle(pool)
+    keyed = {}
+    for eg in pool:
+        keyed.setdefault(canonical_form(eg), eg)
+    return [_entry(eg) for eg in keyed.values()]
+
+
+def _assert_partners_are_matroid_duals(entries: list[CatalogEntry]) -> None:
+    """Each partner is reached from its entry by a matroid-dual bijection that
+    carries C onto D and D onto C: the dual's edge ids, composed with the
+    canonical labellings of the swapped dual and of the partner."""
+    for ent in entries:
+        if ent.dual_partner is None:
+            continue
+        a, b = ent.enhanced, entries[ent.dual_partner].enhanced
+        dual = dual_from_faces(a.graph, _peripheral_cycles(a.graph))
+        _, _, to_canon = canonical_labeling(
+            EnhancedGraph(dual, a.delete_protected, a.contract_protected)
+        )
+        _, _, b_to_canon = canonical_labeling(b)
+        from_canon = {c: f for f, c in b_to_canon.items()}
+        bij = {e: from_canon[to_canon[e]] for e in a.graph.edges}
+        assert is_matroid_dual_pair(a.graph, b.graph, bij)
+        assert {bij[e] for e in a.contract_protected} == b.delete_protected
+        assert {bij[e] for e in a.delete_protected} == b.contract_protected
+
+
+@pytest.mark.parametrize("max_edges", [8, 11, 12])
+def test_dual_partners_match_the_tree_bijection_oracle_on_catalogs(max_edges):
+    entries = build_catalog(SearchConfig(max_edges=max_edges))
+    assert [e.dual_partner for e in entries] == oracles.dual_partners_by_tree_bijection(entries)
+    _assert_partners_are_matroid_duals(entries)
+
+
+def test_dual_partners_match_the_tree_bijection_oracle_on_shuffled_pools():
+    rng = random.Random(25)
+    partnered = unpartnered = 0
+    for m in range(6, 13):
+        for _ in range(6):
+            entries = assign_dual_partners(_shuffled_pool(m, rng))
+            expected = oracles.dual_partners_by_tree_bijection(entries)
+            assert [e.dual_partner for e in entries] == expected
+            _assert_partners_are_matroid_duals(entries)
+            partnered += sum(p is not None for p in expected)
+            unpartnered += sum(p is None for p in expected)
+    assert partnered and unpartnered
+
+
+def test_assign_dual_partners_refuses_entries_outside_its_preconditions():
+    k4 = complete_graph(4)
+    looped = MultiGraph(k4.vertices, {**k4.edges, 7: (0, 0)})
+    doubled = MultiGraph(k4.vertices, {**k4.edges, 7: (0, 1)})
+    cases = [
+        ([plain(looped)], "loop or a parallel pair"),
+        ([plain(doubled)], "loop or a parallel pair"),
+        ([plain(chain_of_k4s(2))], "not 3-connected"),
+        ([plain(k4), plain(wheel(4)), _relabel(plain(k4), random.Random(1))[0]],
+         "entries 0 and 2 have the same canonical form"),
+    ]
+    for graphs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            assign_dual_partners([_entry(eg) for eg in graphs])
